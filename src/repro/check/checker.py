@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +54,14 @@ from repro.logic.ast import (
 from repro.diag.lints import lint_formula
 from repro.logic.parser import parse_formula
 from repro.mrm.model import MRM
-from repro.obs import Collector, ErrorBudget, RunReport, get_collector, use_collector
+from repro.obs import (
+    Collector,
+    ErrorBudget,
+    NullCollector,
+    RunReport,
+    get_collector,
+    use_collector,
+)
 from repro.obs.report import (
     DEGRADATION_EVENT,
     PARTIAL_EVENT,
@@ -85,7 +92,8 @@ class CheckOptions:
     discretization_step:
         The step ``d`` of the discretization engine.
     path_strategy:
-        ``"paths"`` (the paper's per-path DFS) or ``"merged"``
+        ``"paths"`` (the paper's Algorithm 4.7, per-path truncation) or
+        ``"merged"``
         (class-aggregated dynamic programming; prunes less at equal
         ``w``).
     truncation_mode:
@@ -261,18 +269,25 @@ class ModelChecker:
         # Quantitative values keyed by the *path* operator (including its
         # time/reward intervals), not the enclosing Prob formula: two P
         # formulas that differ only in comparison/bound share one engine
-        # run, the second check being a pure threshold test.  Each entry
-        # stores the values together with the degradation records of the
-        # run that produced them, so cache hits replay the degradations
-        # (marked ``cached``) into the requesting check's report instead
-        # of silently laundering a degraded answer into an "exact" one.
-        # Partial results are never cached.
-        self._path_value_cache: Dict[
-            PathFormula, Tuple[np.ndarray, Tuple[Dict[str, Any], ...]]
-        ] = {}
+        # run, the second check being a pure threshold test.  Partial
+        # results are never cached.
+        self._path_value_cache: Dict[PathFormula, np.ndarray] = {}
         # Per-check degradation state, reset by check().
         self._partial = False
         self._degradations: List[Dict[str, Any]] = []
+        # What cached answers must still report.  A *leaf* is one
+        # quantitative engine answer (a path operator's values, a
+        # steady-state formula's satisfying set) stored with the error
+        # budget parts and degradation records of the run that computed
+        # it; every cached satisfying set remembers the leaves it was
+        # computed from.  An answer served from either cache replays its
+        # leaves, each once per check (records marked ``cached``), so it
+        # reports the computing run's budget and trust instead of zero
+        # error and "exact".
+        self._leaves: Dict[Any, Tuple[ErrorBudget, Tuple[Dict[str, Any], ...]]] = {}
+        self._sat_leaves: Dict[Formula, FrozenSet[Any]] = {}
+        self._leaf_trail: List[Set[Any]] = []
+        self._charged: Set[Any] = set()
 
     @property
     def model(self) -> MRM:
@@ -334,6 +349,7 @@ class ModelChecker:
         guard = guard if guard is not None else self._make_guard()
         self._partial = False
         self._degradations = []
+        self._charged = set()
         if not self._options.observe:
             with use_guard(guard if guard.enabled else None):
                 states = self._sat(parsed)
@@ -474,39 +490,44 @@ class ModelChecker:
         intervals included), so every probability bound wrapped around
         the same path operator reuses one quantitative engine run.  A
         cache hit replays the producing run's degradation records
-        (marked ``cached``) so the current check's trust stays honest;
-        partial results are recomputed every time.
+        (marked ``cached``) so the current check's trust stays honest,
+        and its error budget (see :meth:`_use_leaf`); partial results are
+        recomputed every time.
         """
+        obs = get_collector()
         cached = self._path_value_cache.get(path)
         if cached is not None:
-            values, records = cached
-            obs = get_collector()
             obs.counter_add("path-values.cache-hits")
             obs.annotate(cached=True)
-            for record in records:
-                self._note_degradation({**record, "cached": True})
-            return values
+            self._use_leaf(path, cached=True)
+            return cached
+        # Operands first: their own leaves must not count into this one.
         if isinstance(path, Next):
-            values, records, partial = self._next_values_guarded(path)
+            operands = (self._sat(path.child),)
+            compute = self._next_values_guarded
         elif isinstance(path, Until):
-            values, records, partial = self._until_values_guarded(path)
+            operands = (self._sat(path.left), self._sat(path.right))
+            compute = self._until_values_guarded
         else:
             raise FormulaError(f"unsupported path formula {path!r}")
+        mark = ErrorBudget.mark(obs)
+        values, records, partial = compute(path, *operands)
+        self._use_leaf(path, cached=False)
         if partial:
             self._partial = True
         else:
-            self._path_value_cache[path] = (values, tuple(records))
+            self._path_value_cache[path] = values
+            self._leaves[path] = (ErrorBudget.since(obs, mark), tuple(records))
         return values
 
     def _next_values_guarded(
-        self, path: Next
+        self, path: Next, phi_states: FrozenSet[int]
     ) -> Tuple[np.ndarray, List[Dict[str, Any]], bool]:
         """The next operator under the ambient guard.
 
         Next has no cheaper tier (one matrix-vector product); a budget
         trip makes the sub-problem partial immediately.
         """
-        phi_states = self._sat(path.child)
         guard = get_guard()
         records: List[Dict[str, Any]] = []
         try:
@@ -537,7 +558,7 @@ class ModelChecker:
             return values, records, True
 
     def _until_values_guarded(
-        self, path: Until
+        self, path: Until, phi_states: FrozenSet[int], psi_states: FrozenSet[int]
     ) -> Tuple[np.ndarray, List[Dict[str, Any]], bool]:
         """The until operator under the ambient guard, with the cascade.
 
@@ -549,10 +570,6 @@ class ModelChecker:
         ``Psi``-states 1, everything else 0 — and the result is partial.
         """
         opts = self._options
-        # Resolve the operand sub-formulas before opening the span so
-        # "until" times only the quantitative engine work.
-        phi_states = self._sat(path.left)
-        psi_states = self._sat(path.right)
         guard = get_guard()
         tiers = until_tiers(opts.until_engine, opts.path_strategy)
         if path.reward_bound.is_unbounded:
@@ -645,6 +662,25 @@ class ModelChecker:
     # ------------------------------------------------------------------
     # recursion (Algorithm 4.1)
     # ------------------------------------------------------------------
+    def _use_leaf(self, key: Any, cached: bool) -> None:
+        """Note that the running Sat computation rests on leaf ``key``.
+
+        A leaf served from a cache replays its stored budget and
+        degradation records into this check, once per check; a fresh run
+        recorded both directly.
+        """
+        if self._leaf_trail:
+            self._leaf_trail[-1].add(key)
+        if key in self._charged:
+            return
+        self._charged.add(key)
+        if not cached or key not in self._leaves:
+            return
+        budget, records = self._leaves[key]
+        for record in records:
+            self._note_degradation({**record, "cached": True})
+        budget.replay(get_collector())
+
     def _coerce(self, formula: Union[str, StateFormula]) -> StateFormula:
         if isinstance(formula, str):
             return parse_formula(formula)
@@ -657,17 +693,7 @@ class ModelChecker:
     def _sat(self, formula: StateFormula) -> FrozenSet[int]:
         obs = get_collector()
         if not obs.enabled:
-            cached = self._cache.get(formula)
-            if cached is not None:
-                return cached
-            result = self._compute_sat(formula)
-            # Partial fill-ins must not poison the cross-check
-            # satisfying-set cache: once this check has gone partial,
-            # nothing computed from here on is known to be exact, so
-            # stop caching entirely.
-            if not self._partial:
-                self._cache[formula] = result
-            return result
+            return self._sat_memoized(formula, obs)
         # One span per parse-tree node, so the trace renders the
         # Sat(Phi) recursion of Algorithm 4.1 as a tree.  Cache hits
         # still open a (marked) span: the tree mirrors the parse *tree*,
@@ -675,15 +701,31 @@ class ModelChecker:
         # the full formula text; rendering every subformula here would
         # cost more than the span itself.
         with obs.span(f"sat.{type(formula).__name__.lower()}"):
-            cached = self._cache.get(formula)
-            if cached is not None:
-                obs.annotate(cached=True, states=len(cached))
-                return cached
+            return self._sat_memoized(formula, obs)
+
+    def _sat_memoized(self, formula: StateFormula, obs: NullCollector) -> FrozenSet[int]:
+        cached = self._cache.get(formula)
+        if cached is not None:
+            obs.annotate(cached=True, states=len(cached))
+            for leaf in self._sat_leaves.get(formula, ()):
+                self._use_leaf(leaf, cached=True)
+            return cached
+        self._leaf_trail.append(set())
+        try:
             result = self._compute_sat(formula)
-            obs.annotate(states=len(result))
-            if not self._partial:
-                self._cache[formula] = result
-            return result
+        finally:
+            leaves = self._leaf_trail.pop()
+            if self._leaf_trail:
+                self._leaf_trail[-1] |= leaves
+        obs.annotate(states=len(result))
+        # Partial fill-ins must not poison the cross-check satisfying-set
+        # cache: once this check has gone partial, nothing computed from
+        # here on is known to be exact, so stop caching entirely.
+        if not self._partial:
+            self._cache[formula] = result
+            if leaves:
+                self._sat_leaves[formula] = frozenset(leaves)
+        return result
 
     def _compute_sat(self, formula: StateFormula) -> FrozenSet[int]:
         model = self._model
@@ -734,6 +776,7 @@ class ModelChecker:
         )
         phi_states = self._sat(formula.child)
         guard = get_guard()
+        mark = ErrorBudget.mark(obs)
         try:
             with obs.span("steady"):
                 result = satisfy_steady(
@@ -762,6 +805,8 @@ class ModelChecker:
             )
             return frozenset()
         self._value_cache[formula] = tuple(float(v) for v in result.values)
+        self._leaves[formula] = (ErrorBudget.since(obs, mark), ())
+        self._use_leaf(formula, cached=False)
         return result.satisfying
 
     def _sat_probability(self, formula: Prob) -> FrozenSet[int]:

@@ -1,4 +1,4 @@
-"""Uniformization with depth-first path generation (Sections 4.4.2, 4.6).
+"""Uniformization with path generation (Sections 4.4.2, 4.6).
 
 This is the paper's main computational contribution: evaluating
 
@@ -7,10 +7,10 @@ This is the paper's main computational contribution: evaluating
 over an MRM whose ``(!Phi or Psi)``-states have been made absorbing, by
 
 1. uniformizing the MRM (Definition 4.2);
-2. enumerating finite paths of the uniformized DTMC depth-first
-   (Algorithm 4.7, DFPG) with *path truncation*: a path is abandoned as
-   soon as its Poisson-weighted probability ``P(sigma, t)`` drops below
-   the truncation probability ``w`` (Definition 4.6);
+2. enumerating finite paths of the uniformized DTMC (Algorithm 4.7,
+   DFPG) with *path truncation*: a path is abandoned as soon as its
+   Poisson-weighted probability ``P(sigma, t)`` drops below the
+   truncation probability ``w`` (Definition 4.6);
 3. characterizing each stored path by its sojourn-count vector ``k``
    (one entry per distinct state reward) and impulse-count vector ``j``
    (one entry per distinct impulse reward) and aggregating the
@@ -36,6 +36,26 @@ against a single shared context.  Sharing the context turns the
 ``O(n)``-pass all-states evaluation of a P2 until formula into one
 precomputation plus ``n`` searches, and lets the Omega memoization work
 across initial states (classes recur between starts).
+
+Columnar path sweep
+-------------------
+The ``"paths"`` strategy (the default) generates exactly Algorithm
+4.7's path set with exactly its per-path truncation test, but not one
+path at a time: the search tree is swept as columns of *unmerged* rows
+(state, packed ``(k, j)`` class words, DTMC path probability), one row
+per tree node.  A block of rows of one depth expands through the flat
+CSR successor structure in a handful of array operations; every child
+row is tested on its own (``pmf[n] P(sigma)`` in ``"paper"`` mode,
+``maxpois[n] P(sigma)`` in ``"safe"`` mode), so no path survives or
+dies differently from the DFS, and the discarded children feed the
+eq. (4.6) tail exactly as there.  Blocks hold at most
+:data:`PATHS_BLOCK_ROWS` rows and live on a stack that is always
+drained deepest-first, which bounds the working set the way the DFS
+stack does.  Rows ending in a ``Psi``-state are reduced per class within
+their block and merged once at the end.  Only the traversal order (and
+hence floating-point summation order) differs from the per-path DFS,
+which the test suite keeps as the oracle for path counts, values and
+error bounds.
 
 Columnar merged engine
 ----------------------
@@ -118,6 +138,11 @@ __all__ = [
 ]
 
 _STRATEGIES = ("paths", "merged", "merged-legacy")
+
+#: Most rows one block of the ``"paths"`` sweep expands at once.  Large
+#: enough to amortize NumPy's per-call overhead, small enough that the
+#: deepest-first block stack stays a bounded working set.
+PATHS_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -382,8 +407,8 @@ class PathEngineContext:
     pmf/head/max tables and the Omega calculators (whose memo tables are
     keyed by threshold and grow monotonically across runs).
 
-    For the columnar ``"merged"`` engine the successor structure is
-    additionally flattened to CSR arrays (``succ_indptr[s] ..
+    For the columnar ``"paths"`` and ``"merged"`` sweeps the successor
+    structure is additionally flattened to CSR arrays (``succ_indptr[s] ..
     succ_indptr[s + 1]`` index the out-edges of ``s``; dead targets are
     dropped, matching the search's pruning) with per-edge *move* codes,
     and a :class:`ClassTable` interns the reward classes — both persist
@@ -700,9 +725,12 @@ def joint_distribution_from_context(
     """
     if not 0 <= int(initial_state) < context.num_states:
         raise CheckError(f"initial state {initial_state} out of range")
-    if context.strategy == "merged":
+    if context.strategy != "merged-legacy":
+        runner = (
+            _run_paths_sweep if context.strategy == "paths" else _run_merged_columnar
+        )
         k_rows, j_rows, agg_mass, error_bound, generated, stored, max_depth = (
-            _run_merged_columnar(int(initial_state), context)
+            runner(int(initial_state), context)
         )
         probability, classes, omega_evals = _combine_with_omega_matrix(
             k_rows,
@@ -716,10 +744,7 @@ def joint_distribution_from_context(
             kernels=context.kernels,
         )
     else:
-        runner = (
-            _run_paths_dfs if context.strategy == "paths" else _run_merged_dp
-        )
-        stats = runner(
+        stats = _run_merged_dp(
             initial_state=int(initial_state),
             psi=context.psi,
             dead=context.dead,
@@ -799,7 +824,10 @@ def joint_distribution(
         Optional maximal path length ``N`` — the *depth truncation* of
         eq. (4.3).  May be combined with path truncation.
     strategy:
-        ``"paths"`` — the paper's per-path DFS (Algorithm 4.7);
+        ``"paths"`` — the paper's path generation (Algorithm 4.7): the
+        same path set and the same per-path truncation as its DFS, run
+        as a deepest-first columnar sweep over unmerged tree rows (see
+        the module docstring), so only the traversal order differs;
         ``"merged"`` — a dynamic-programming variant that aggregates
         probability mass per ``(state, k, j)`` before applying the
         truncation test, which prunes strictly less at equal ``w`` (its
@@ -1064,106 +1092,6 @@ PersistentWorkerPool` to run on (e.g. the one owned by an
     return results
 
 
-def _run_paths_dfs(
-    initial_state: int,
-    psi: frozenset,
-    dead: frozenset,
-    successors: List[List[Tuple[int, float, int]]],
-    state_level: List[int],
-    num_levels: int,
-    num_impulses: int,
-    w: float,
-    depth_limit: Optional[int],
-    pmf: np.ndarray,
-    heads: np.ndarray,
-    maxpois: Optional[np.ndarray],
-) -> Tuple[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float], float, int, int, int]:
-    """Algorithm 4.7 with an explicit stack.
-
-    Stack frames carry ``(state, n, k, j, p_dtmc)`` with the bare DTMC
-    path probability ``P(sigma)``; the Poisson-weighted probability
-    ``P(sigma, t) = pmf[n] * P(sigma)`` is looked up from the log-space
-    table on demand, so a deep underflow of the table head (large
-    ``Lambda t``) affects only the entries that are genuinely zero.
-    ``maxpois`` switches the truncation test to the safe variant (see
-    :func:`joint_distribution`).
-    """
-    aggregated: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
-    error_bound = 0.0
-    generated = 0
-    stored = 0
-    max_depth = 0
-
-    if initial_state in dead:
-        return aggregated, 0.0, 0, 0, 0
-    root_score = float(pmf[0]) if maxpois is None else float(maxpois[0])
-    if root_score < w:
-        # Even the empty path is truncated (Algorithm 4.7 line 1): all
-        # probability mass is discarded and the error bound is total.
-        return aggregated, 1.0, 0, 0, 0
-
-    root_k = tuple(
-        1 if i == state_level[initial_state] else 0 for i in range(num_levels)
-    )
-    root_j = (0,) * num_impulses
-    stack: List[Tuple[int, int, Tuple[int, ...], Tuple[int, ...], float]] = [
-        (initial_state, 0, root_k, root_j, 1.0)
-    ]
-    head_count = len(heads)
-    guard = get_guard()
-    obs = get_collector()
-    mass_series = obs.series("until.truncation-mass") if obs.enabled else None
-    frame_bytes = 120 + 16 * (num_levels + num_impulses)
-    while stack:
-        if (generated & 1023) == 0:
-            # Every 1024th node: the DFS pops millions of frames, so
-            # both the checkpoint and the series sample must stay off
-            # the critical path (the series is subsampled further — the
-            # trajectory does not need checkpoint resolution).
-            if guard.enabled:
-                guard.checkpoint("until.paths", mem_bytes=len(stack) * frame_bytes)
-            if mass_series is not None and (generated & 4095) == 0:
-                mass_series.append(float(generated), float(error_bound))
-        state, depth, k, j, p_dtmc = stack.pop()
-        generated += 1
-        if depth > max_depth:
-            max_depth = depth
-        if state in psi:
-            key = (k, j)
-            aggregated[key] = aggregated.get(key, 0.0) + float(pmf[depth]) * p_dtmc
-            stored += 1
-        if depth_limit is not None and depth >= depth_limit:
-            continue
-        next_depth = depth + 1
-        poisson_next = float(pmf[next_depth]) if next_depth < len(pmf) else 0.0
-        for target, probability, impulse_idx in successors[state]:
-            child_dtmc = p_dtmc * probability
-            if target in dead:
-                continue
-            child_score = (
-                poisson_next * child_dtmc
-                if maxpois is None
-                else child_dtmc * float(maxpois[next_depth])
-            )
-            if child_score < w:
-                # eq. (4.6): the discarded path and all its suffixes; the
-                # last state satisfies (Phi or Psi) since dead states were
-                # skipped above.
-                if next_depth < head_count:
-                    tail = 1.0 - heads[next_depth]
-                else:  # pragma: no cover - depth table always suffices
-                    tail = 1.0
-                error_bound += child_dtmc * tail
-                continue
-            level = state_level[target]
-            child_k = k[:level] + (k[level] + 1,) + k[level + 1 :]
-            child_j = (
-                j[:impulse_idx] + (j[impulse_idx] + 1,) + j[impulse_idx + 1 :]
-            )
-            stack.append((target, next_depth, child_k, child_j, child_dtmc))
-    return aggregated, error_bound, generated, stored, max_depth
-
-
 def _run_merged_dp(
     initial_state: int,
     psi: frozenset,
@@ -1182,7 +1110,7 @@ def _run_merged_dp(
 
     Paths with equal state and equal reward characterization are merged
     *before* the truncation test, so at equal ``w`` this prunes strictly
-    less than the per-path DFS and yields a tighter error bound.  The
+    less than per-path truncation and yields a tighter error bound.  The
     frontier at depth ``n`` maps ``(state, k, j)`` to the merged DTMC
     probability; the Poisson weight ``pmf[n]`` is applied on storage.
 
@@ -1254,7 +1182,7 @@ def _run_merged_dp(
         # Truncation test on the merged classes.  Past the end of the
         # pmf table the Poisson weight is genuinely below every
         # representable threshold, so frontiers there score 0.0 — the
-        # same convention as the DFS (a stale last-entry lookup would
+        # same convention as the path sweep (a stale last-entry lookup would
         # keep deep frontiers alive in "paper" mode and leak their mass
         # out of the error bound).
         surviving: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], float] = {}
@@ -1297,6 +1225,59 @@ def _class_packing(context: PathEngineContext) -> Optional[Tuple[int, int]]:
     if fields > 2 * fields_per_word:
         return None
     return bits, fields_per_word
+
+
+def _field_increment(field: int, bits: int, fields_per_word: int) -> Tuple[int, int]:
+    """The two class words of a single count in field ``field``.
+
+    Field ``f`` (k fields first, then j fields) lives in word
+    ``f // fields_per_word`` at bit offset ``(f % fields_per_word) * bits``.
+    """
+    word, slot = divmod(field, fields_per_word)
+    value = 1 << (slot * bits)
+    return (value, 0) if word == 0 else (0, value)
+
+
+def _move_words(
+    context: PathEngineContext, bits: int, fields_per_word: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-move word increments: ``move = level * J + impulse`` adds one
+    to ``k[level]`` and one to ``j[impulse]``."""
+    num_levels = len(context.reward_levels)
+    num_impulses = len(context.impulse_levels)
+    move_lo = np.zeros(num_levels * num_impulses, dtype=np.int64)
+    move_hi = np.zeros(num_levels * num_impulses, dtype=np.int64)
+    for level in range(num_levels):
+        k_lo, k_hi = _field_increment(level, bits, fields_per_word)
+        for impulse in range(num_impulses):
+            j_lo, j_hi = _field_increment(num_levels + impulse, bits, fields_per_word)
+            move = level * num_impulses + impulse
+            move_lo[move] = k_lo + j_lo
+            move_hi[move] = k_hi + j_hi
+    return move_lo, move_hi
+
+
+def _unpack_words(
+    class_lo: np.ndarray,
+    class_hi: np.ndarray,
+    bits: int,
+    fields_per_word: int,
+    num_levels: int,
+    num_impulses: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unpack class words back into ``(k_rows, j_rows)`` count matrices."""
+    field_mask = np.int64((1 << bits) - 1)
+    k_rows = np.empty((class_lo.size, num_levels), dtype=np.int64)
+    j_rows = np.empty((class_lo.size, num_impulses), dtype=np.int64)
+    for field in range(num_levels + num_impulses):
+        word, slot = divmod(field, fields_per_word)
+        source = class_lo if word == 0 else class_hi
+        column = (source >> np.int64(slot * bits)) & field_mask
+        if field < num_levels:
+            k_rows[:, field] = column
+        else:
+            j_rows[:, field - num_levels] = column
+    return k_rows, j_rows
 
 
 def _run_merged_columnar(
@@ -1364,24 +1345,10 @@ def _sweep_packed(
     if root_score < w:
         return empty_k, empty_j, no_mass, 1.0, 0, 0, 0
 
-    # Field ``f`` (k fields first, then j fields) lives in word
-    # ``f // fields_per_word`` at bit offset ``(f % fields_per_word) * bits``.
-    def field_increment(field: int) -> Tuple[int, int]:
-        word, slot = divmod(field, fields_per_word)
-        value = 1 << (slot * bits)
-        return (value, 0) if word == 0 else (0, value)
-
-    move_lo = np.zeros(num_levels * num_impulses, dtype=np.int64)
-    move_hi = np.zeros(num_levels * num_impulses, dtype=np.int64)
-    for level in range(num_levels):
-        k_lo, k_hi = field_increment(level)
-        for impulse in range(num_impulses):
-            j_lo, j_hi = field_increment(num_levels + impulse)
-            move = level * num_impulses + impulse
-            move_lo[move] = k_lo + j_lo
-            move_hi[move] = k_hi + j_hi
-
-    root_lo, root_hi = field_increment(context.state_level[initial_state])
+    move_lo, move_hi = _move_words(context, bits, fields_per_word)
+    root_lo, root_hi = _field_increment(
+        context.state_level[initial_state], bits, fields_per_word
+    )
     states = np.array([initial_state], dtype=np.int64)
     class_lo = np.array([root_lo], dtype=np.int64)
     class_hi = np.array([root_hi], dtype=np.int64)
@@ -1527,29 +1494,10 @@ def _sweep_packed(
         )
         masses = np.add.reduceat(sorted_mass, group_starts)
     else:
-        order = np.lexsort((all_lo, all_hi))
-        sorted_lo = all_lo[order]
-        sorted_hi = all_hi[order]
-        boundaries = np.empty(all_lo.size, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(sorted_hi[1:], sorted_hi[:-1], out=boundaries[1:])
-        boundaries[1:] |= sorted_lo[1:] != sorted_lo[:-1]
-        group_starts = np.flatnonzero(boundaries)
-        masses = np.add.reduceat(all_mass[order], group_starts)
-        class_lo = sorted_lo[group_starts]
-        class_hi = sorted_hi[group_starts]
-    # Unpack the merged class words back into count matrices.
-    field_mask = np.int64((1 << bits) - 1)
-    k_rows = np.empty((class_lo.size, num_levels), dtype=np.int64)
-    j_rows = np.empty((class_lo.size, num_impulses), dtype=np.int64)
-    for field in range(num_levels + num_impulses):
-        word, slot = divmod(field, fields_per_word)
-        source = class_lo if word == 0 else class_hi
-        column = (source >> np.int64(slot * bits)) & field_mask
-        if field < num_levels:
-            k_rows[:, field] = column
-        else:
-            j_rows[:, field - num_levels] = column
+        (class_lo, class_hi), masses = _group_rows((all_lo, all_hi), all_mass)
+    k_rows, j_rows = _unpack_words(
+        class_lo, class_hi, bits, fields_per_word, num_levels, num_impulses
+    )
     return k_rows, j_rows, masses, error_bound, generated, stored, max_depth
 
 
@@ -1676,16 +1624,9 @@ def _sweep_interned(
 
     if not stored_ids:
         return empty_k, empty_j, no_mass, error_bound, generated, stored, max_depth
-    all_ids = np.concatenate(stored_ids)
-    all_mass = np.concatenate(stored_mass)
-    order = np.argsort(all_ids, kind="stable")
-    sorted_ids = all_ids[order]
-    boundaries = np.empty(all_ids.size, dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=boundaries[1:])
-    group_starts = np.flatnonzero(boundaries)
-    masses = np.add.reduceat(all_mass[order], group_starts)
-    unique_ids = sorted_ids[group_starts]
+    (unique_ids,), masses = _group_rows(
+        (np.concatenate(stored_ids),), np.concatenate(stored_mass)
+    )
     return (
         table.k_rows(unique_ids),
         table.j_rows(unique_ids),
@@ -1695,6 +1636,219 @@ def _sweep_interned(
         stored,
         max_depth,
     )
+
+
+class _PackedClasses:
+    """Row class keys as two bit-packed int64 words (see :func:`_class_packing`)."""
+
+    def __init__(self, context: PathEngineContext, bits: int, fields_per_word: int):
+        self._bits = bits
+        self._fields_per_word = fields_per_word
+        self._num_levels = len(context.reward_levels)
+        self._num_impulses = len(context.impulse_levels)
+        self._move_lo, self._move_hi = _move_words(context, bits, fields_per_word)
+
+    def root(self, level: int) -> Tuple[np.ndarray, ...]:
+        lo, hi = _field_increment(level, self._bits, self._fields_per_word)
+        return np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64)
+
+    def children(
+        self, keys: Tuple[np.ndarray, ...], parent: np.ndarray, moves: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        lo, hi = keys
+        return lo[parent] + self._move_lo[moves], hi[parent] + self._move_hi[moves]
+
+    def rows(self, keys: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        return _unpack_words(
+            keys[0],
+            keys[1],
+            self._bits,
+            self._fields_per_word,
+            self._num_levels,
+            self._num_impulses,
+        )
+
+
+class _InternedClasses:
+    """Row class keys as one :class:`ClassTable` id (models too wide to pack)."""
+
+    def __init__(self, table: ClassTable):
+        self._table = table
+
+    def root(self, level: int) -> Tuple[np.ndarray, ...]:
+        return (np.array([self._table.root(level)], dtype=np.int64),)
+
+    def children(
+        self, keys: Tuple[np.ndarray, ...], parent: np.ndarray, moves: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        return (self._table.children(keys[0][parent], moves),)
+
+    def rows(self, keys: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        return self._table.k_rows(keys[0]), self._table.j_rows(keys[0])
+
+
+def _group_rows(
+    keys: Tuple[np.ndarray, ...], mass: np.ndarray
+) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """Sum ``mass`` per distinct key tuple (one lexsort plus ``reduceat``)."""
+    order = np.lexsort(keys)
+    sorted_keys = tuple(column[order] for column in keys)
+    boundaries = np.zeros(mass.size, dtype=bool)
+    boundaries[0] = True
+    for column in sorted_keys:
+        boundaries[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(boundaries)
+    return (
+        tuple(column[starts] for column in sorted_keys),
+        np.add.reduceat(mass[order], starts),
+    )
+
+
+def _run_paths_sweep(
+    initial_state: int, context: PathEngineContext
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int, int, int]:
+    """Algorithm 4.7 as a deepest-first columnar sweep over unmerged rows.
+
+    Each row is one node of the DFPG search tree: its state, its class
+    key (bit-packed ``(k, j)`` words, or a :class:`ClassTable` id when
+    the counts do not fit two words) and its DTMC path probability
+    ``P(sigma)``.  A block holds rows of one depth.  Popping a block
+    counts its rows as generated, stores its ``Psi``-rows with weight
+    ``pmf[n] P(sigma)`` (reduced per class within the block) and, unless
+    the depth limit is reached, expands every row through the CSR
+    successor arrays.  Each child is tested on its own, exactly as the
+    DFS tests it, and a discarded child adds ``P(sigma') (1 - head)`` to
+    the eq. (4.6) bound.  The surviving children are pushed as blocks of
+    at most :data:`PATHS_BLOCK_ROWS` rows, so the stack always continues
+    with the deepest rows and stays bounded like the DFS stack.
+
+    The path set, ``paths_generated``, ``paths_stored`` and
+    ``max_depth`` therefore equal the DFS's; probability and error bound
+    differ from it only by summation order.  Returns the same tuple as
+    :func:`_run_merged_columnar`.
+    """
+    pmf = context.pmf
+    heads = context.heads
+    maxpois = context.maxpois
+    w = context.w
+    depth_limit = context.depth_limit
+    psi_mask = context.psi_mask
+    indptr = context.succ_indptr
+    succ_targets = context.succ_targets
+    succ_probs = context.succ_probs
+    succ_moves = context.succ_moves
+
+    empty_k, empty_j = _no_classes(context)
+    no_mass = np.empty(0, dtype=float)
+    if initial_state in context.dead:
+        return empty_k, empty_j, no_mass, 0.0, 0, 0, 0
+    root_score = float(pmf[0]) if maxpois is None else float(maxpois[0])
+    if root_score < w:
+        # Even the empty path is truncated (Algorithm 4.7 line 1): all
+        # probability mass is discarded and the error bound is total.
+        return empty_k, empty_j, no_mass, 1.0, 0, 0, 0
+
+    packing = _class_packing(context)
+    classes = (
+        _InternedClasses(context.class_table)
+        if packing is None
+        else _PackedClasses(context, *packing)
+    )
+    root_keys = classes.root(context.state_level[initial_state])
+    # state + mass + key words; the stored buffers hold keys + mass.
+    row_bytes = 16 + 8 * len(root_keys)
+    stack = [
+        (0, np.array([initial_state], dtype=np.int64), root_keys, np.ones(1))
+    ]
+    stack_rows = 1
+    stored_keys: List[Tuple[np.ndarray, ...]] = []
+    stored_mass: List[np.ndarray] = []
+    buffered_rows = 0
+
+    error_bound = 0.0
+    generated = 0
+    stored = 0
+    max_depth = 0
+    pmf_count = len(pmf)
+    head_count = len(heads)
+    maxpois_count = 0 if maxpois is None else len(maxpois)
+    guard = get_guard()
+    obs = get_collector()
+    mass_series = obs.series("until.truncation-mass") if obs.enabled else None
+    while stack:
+        if guard.enabled:
+            guard.checkpoint(
+                "until.paths", mem_bytes=(stack_rows + buffered_rows) * row_bytes
+            )
+        if mass_series is not None:
+            mass_series.append(float(generated), float(error_bound))
+        depth, states, keys, mass = stack.pop()
+        stack_rows -= states.size
+        generated += int(states.size)
+        if depth > max_depth:
+            max_depth = depth
+        storing = psi_mask[states]
+        count = int(np.count_nonzero(storing))
+        if count:
+            stored += count
+            poisson_here = float(pmf[depth]) if depth < pmf_count else 0.0
+            block_keys, block_mass = _group_rows(
+                tuple(column[storing] for column in keys),
+                mass[storing] * poisson_here,
+            )
+            stored_keys.append(block_keys)
+            stored_mass.append(block_mass)
+            buffered_rows += block_mass.size
+        if depth_limit is not None and depth >= depth_limit:
+            continue
+        degrees = indptr[states + 1] - indptr[states]
+        total = int(degrees.sum())
+        if total == 0:
+            continue
+        next_depth = depth + 1
+        parent = np.repeat(np.arange(states.size), degrees)
+        edges = np.repeat(indptr[states] - (np.cumsum(degrees) - degrees), degrees)
+        edges += np.arange(total)
+        child_mass = mass[parent] * succ_probs[edges]
+        # Per-row truncation test, with the merged sweep's conventions
+        # past the end of the tables (pmf scores 0.0, maxpois clamps).
+        if maxpois is None:
+            ceiling = float(pmf[next_depth]) if next_depth < pmf_count else 0.0
+        else:
+            ceiling = float(maxpois[min(next_depth, maxpois_count - 1)])
+        keep = child_mass * ceiling >= w
+        if not keep.all():
+            tail = 1.0 - float(heads[next_depth]) if next_depth < head_count else 1.0
+            error_bound += float(child_mass[~keep].sum()) * tail
+            parent = parent[keep]
+            edges = edges[keep]
+            child_mass = child_mass[keep]
+        size = int(child_mass.size)
+        if size == 0:
+            continue
+        child_states = succ_targets[edges]
+        child_keys = classes.children(keys, parent, succ_moves[edges])
+        blocks = -(-size // PATHS_BLOCK_ROWS)
+        bounds = [size * b // blocks for b in range(blocks + 1)]
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            stack.append(
+                (
+                    next_depth,
+                    child_states[start:end],
+                    tuple(column[start:end] for column in child_keys),
+                    child_mass[start:end],
+                )
+            )
+        stack_rows += size
+
+    if not stored_mass:
+        return empty_k, empty_j, no_mass, error_bound, generated, stored, max_depth
+    keys, masses = _group_rows(
+        tuple(np.concatenate(column) for column in zip(*stored_keys)),
+        np.concatenate(stored_mass),
+    )
+    k_rows, j_rows = classes.rows(keys)
+    return k_rows, j_rows, masses, error_bound, generated, stored, max_depth
 
 
 def _combine_with_omega(

@@ -337,13 +337,13 @@ def _attach_context(descriptor: ContextDescriptor):
     state_level = [int(level) for level in arrays["state_level"]]
     num_impulses = len(descriptor.impulse_levels)
 
-    # The per-edge successor list is only walked by the "paths" and
-    # "merged-legacy" runners; the columnar engine reads the CSR arrays
-    # directly.  Rebuilding it from CSR drops the dead targets the
-    # parent-side list still carries — identical iteration, because
-    # every runner skips dead targets before accumulating anything.
+    # The per-edge successor list is only walked by the "merged-legacy"
+    # runner; the columnar sweeps read the CSR arrays directly.
+    # Rebuilding it from CSR drops the dead targets the parent-side list
+    # still carries — identical iteration, because the runner skips
+    # dead targets before accumulating anything.
     successors: List[List[Tuple[int, float, int]]]
-    if descriptor.strategy == "merged":
+    if descriptor.strategy != "merged-legacy":
         successors = [[] for _ in range(descriptor.num_states)]
     else:
         indptr = arrays["succ_indptr"]

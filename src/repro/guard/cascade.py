@@ -9,8 +9,8 @@ only the failed sub-problem:
 
 * within the uniformization path engine the strategies degrade
   ``merged`` (columnar, large frontiers in RAM) → ``merged-legacy``
-  (dict DP, smaller constants) → ``paths`` (per-path DFS, near-constant
-  memory);
+  (dict DP, smaller constants) → ``paths`` (per-path truncation swept in
+  bounded deepest-first blocks, bounded memory);
 * across engines, uniformization and discretization fall back to each
   other (a tier whose preconditions the model violates — e.g.
   non-integral rewards for discretization — is skipped);
@@ -83,7 +83,8 @@ def until_tiers(engine: str, strategy: str) -> List[EngineTier]:
         tiers.append(EngineTier("discretization", strategy, "discretization"))
     elif engine == "discretization":
         tiers.append(EngineTier("discretization", strategy, "discretization"))
-        # The per-path DFS is the leanest uniformization configuration.
+        # The bounded-block path sweep is the leanest uniformization
+        # configuration.
         tiers.append(_uniformization_tier("paths"))
     else:
         tiers.append(EngineTier(engine, strategy, engine))

@@ -24,10 +24,11 @@ those runs simply recorded no span tree or time-series).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.collector import Collector
+from repro.obs.collector import Collector, NullCollector
 
 __all__ = ["ErrorBudget", "PhaseTiming", "RunReport", "REPORT_SCHEMA"]
 
@@ -102,6 +103,45 @@ class ErrorBudget:
             discretization_defect=float(collector.counter(DEFECT_COUNTER)),
             solver_residual=residual,
         )
+
+    @staticmethod
+    def mark(collector: NullCollector) -> Optional[Tuple[float, float, float]]:
+        """Where ``collector``'s budget stands now, for :meth:`since`."""
+        if not isinstance(collector, Collector):
+            return None
+        return (
+            collector.counter(TRUNCATION_COUNTER),
+            collector.counter(DEFECT_COUNTER),
+            time.perf_counter() - collector.epoch,
+        )
+
+    @staticmethod
+    def since(
+        collector: NullCollector, mark: Optional[Tuple[float, float, float]]
+    ) -> "ErrorBudget":
+        """The budget parts ``collector`` recorded after :meth:`mark`."""
+        if mark is None or not isinstance(collector, Collector):
+            return ErrorBudget()
+        truncation, defect, start = mark
+        residual = 0.0
+        for event in collector.events_named(LINSOLVE_EVENT):
+            value = event.get("residual")
+            if value is not None and event.get("ts", start) >= start:
+                residual = max(residual, float(value))
+        return ErrorBudget(
+            truncation_mass=collector.counter(TRUNCATION_COUNTER) - truncation,
+            discretization_defect=collector.counter(DEFECT_COUNTER) - defect,
+            solver_residual=residual,
+        )
+
+    def replay(self, collector: NullCollector) -> None:
+        """Record these parts again, for an answer served from a cache."""
+        if self.truncation_mass:
+            collector.counter_add(TRUNCATION_COUNTER, self.truncation_mass)
+        if self.discretization_defect:
+            collector.counter_add(DEFECT_COUNTER, self.discretization_defect)
+        if self.solver_residual:
+            collector.event(LINSOLVE_EVENT, residual=self.solver_residual, cached=True)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,27 @@ class TestCaching:
         checker.check("P(>0.1) [idle U[0,1][0,2000] busy]")
         assert len(calls) == 2
 
+    def test_cached_values_report_their_error_budget(self, wavelan):
+        path = "[TT U[0,0.5][0,50] busy]"
+        checker = ModelChecker(wavelan)
+        first = checker.check(f"P(>0.5) {path}").report.error_budget
+        assert first.total > 0.0
+        # A value-cache hit (new bound) and a satisfying-set cache hit
+        # (same formula) replay exactly the computing run's budget.
+        for formula in (f"P(<0.2) {path}", f"P(>0.5) {path}"):
+            assert checker.check(formula).report.error_budget == first
+        # One cached sub-answer used twice in a formula is charged once.
+        both = checker.check(f"P(>0.5) {path} && P(<0.2) {path}")
+        assert both.report.error_budget == first
+
+    def test_cached_steady_answer_keeps_its_solver_residual(self, wavelan):
+        from repro.check.engine_cache import EngineCache
+
+        checker = ModelChecker(wavelan, engine_cache=EngineCache())
+        first = checker.check("S(>0.1) busy").report.error_budget
+        assert first.solver_residual > 0.0
+        assert checker.check("S(>0.1) busy").report.error_budget == first
+
 
 class TestPathProbabilities:
     def test_until_string(self, checker):

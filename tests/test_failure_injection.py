@@ -181,7 +181,7 @@ WAVELAN_P2 = "P(>0.5) [TT U[0,0.5][0,50] busy]"
 _STRATEGY_RUNNERS = {
     "merged": "_run_merged_columnar",
     "merged-legacy": "_run_merged_dp",
-    "paths": "_run_paths_dfs",
+    "paths": "_run_paths_sweep",
 }
 
 
@@ -332,6 +332,19 @@ class TestDegradationCascade:
         assert first.trust == "degraded"
         assert second.trust == "degraded"
         assert all(r.get("cached") for r in second.report.degradations)
+
+    def test_satisfying_set_hit_replays_degradations_and_budget(self, wavelan):
+        with _inject_engine_faults(["merged"]):
+            checker = ModelChecker(wavelan, CheckOptions(path_strategy="merged"))
+            first = checker.check(WAVELAN_P2)
+            # The identical formula: served from the satisfying-set cache.
+            again = checker.check(WAVELAN_P2)
+        assert again.trust == first.trust == "degraded"
+        assert [r["to"] for r in again.report.degradations] == [
+            r["to"] for r in first.report.degradations
+        ]
+        assert all(r.get("cached") for r in again.report.degradations)
+        assert again.report.error_budget == first.report.error_budget
 
 
 def _exit_hard(task):

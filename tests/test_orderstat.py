@@ -4,6 +4,7 @@ reward probability of eqs. (4.7)-(4.10)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betainc
 
 from repro.exceptions import NumericalError
 from repro.numerics.orderstat import (
@@ -125,9 +126,11 @@ class TestCalculatorBehaviour:
         assert calculator.evaluations > first
 
     def test_deep_counts_do_not_overflow_stack(self):
-        # Total count ~3000 would break naive recursion.
+        # Total count ~3000 would break naive recursion.  The time share
+        # of the reward-2 group is Beta(1500, 1500) distributed, so Omega
+        # is its CDF at 1/2.
         value = omega([2.0, 0.0], [1500, 1500], threshold=1.0)
-        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(betainc(1500, 1500, 0.5), abs=1e-12)
 
     def test_value_in_unit_interval(self):
         calculator = OmegaCalculator([4.0, 2.0, 0.5, 0.0], threshold=1.2)
@@ -188,7 +191,8 @@ class TestValueMany:
     def test_deep_batch_does_not_recurse(self):
         calculator = OmegaCalculator([2.0, 0.0], threshold=1.0)
         values = calculator.value_many([[1500, 1500], [1000, 2000]])
-        assert np.all((0.0 <= values) & (values <= 1.0))
+        expected = [betainc(1500, 1500, 0.5), betainc(1000, 2000, 0.5)]
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
 
     def test_validation(self):
         calculator = OmegaCalculator([2.0, 0.0], threshold=1.0)

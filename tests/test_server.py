@@ -412,6 +412,20 @@ class TestBudgets:
         assert body["trust"] in ("degraded", "partial")
         assert body["degradations"]
 
+    def test_cache_hits_report_the_computed_error_budget(self, server_factory):
+        _, sock = server_factory()
+        rebound = FORMULA.replace("P(>0.1)", "P(<0.2)")
+        with ServerClient(socket_path=sock) as client:
+            cold = client.check({"source": TMR_SOURCE}, FORMULA)
+            repeat = client.check({"source": TMR_SOURCE}, FORMULA)
+            other_bound = client.check({"source": TMR_SOURCE}, rebound)
+        assert cold["error_budget"]["total"] > 0.0
+        # Both answers come from the warm checker's caches (no engine
+        # work) and still hold only within the computing run's budget.
+        for body in (repeat, other_bound):
+            assert body["engine_cache"]["misses"] == 0
+            assert body["error_budget"] == cold["error_budget"]
+
 
 class TestMetrics:
     def test_prometheus_snapshot_validates(self, server_factory):
