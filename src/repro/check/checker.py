@@ -107,8 +107,8 @@ class CheckOptions:
     kernels:
         Compiled-kernel backend for the path engine's hot loops
         (``"auto"``, ``"numpy"``, ``"numba"``, ``"python"``).  The
-        default ``"auto"`` uses the numba-jitted frontier merge and
-        Omega sweep when the optional ``repro[speed]`` extra is
+        default ``"auto"`` uses the numba-jitted frontier merge of the
+        ``merged`` sweep when the optional ``repro[speed]`` extra is
         installed and falls back to the NumPy reference path (with a
         ``kernels.fallback`` event) otherwise.  All backends are
         bitwise identical — see :mod:`repro.kernels`.

@@ -34,6 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Sequence
 
+from repro.numerics.orderstat import OmegaRegistry
 from repro.obs import get_collector
 
 __all__ = ["CacheStats", "EngineCache", "default_engine_cache"]
@@ -122,19 +123,21 @@ class EngineCache:
             latch.set()
         return value
 
-    def calculators_for(self, reward_levels: Sequence[float]) -> Dict[float, Any]:
-        """The shared Omega-calculator registry for one reward-level set.
+    def calculators_for(self, reward_levels: Sequence[float]) -> OmegaRegistry:
+        """The shared Omega registry for one reward-level set.
 
-        The registry maps each threshold to its
-        :class:`~repro.numerics.orderstat.OmegaCalculator`; since the
-        group coefficients are a function of the distinct state rewards
-        alone, every formula over a model with the same reward levels
-        can reuse the same memo tables — across time bounds, reward
-        bounds and psi-sets.  The returned dict is shared and grows
-        monotonically; do not replace entries.
+        The :class:`~repro.numerics.orderstat.OmegaRegistry` owns one
+        memo per threshold; since the group coefficients are a function
+        of the distinct state rewards alone, every formula over a model
+        with the same reward levels reuses the same memos — across time
+        bounds, reward bounds and psi-sets.  The registry is shared,
+        grows monotonically and serializes its passes with its own lock.
         """
-        key = ("omega-calculators", tuple(float(r) for r in reward_levels))
-        return self.get_or_build(key, dict)
+        levels = tuple(float(r) for r in reward_levels)
+        return self.get_or_build(
+            ("omega-calculators", levels),
+            lambda: OmegaRegistry.for_reward_levels(levels),
+        )
 
     def worker_pool(self):
         """The persistent fan-out pool everything on this cache shares.

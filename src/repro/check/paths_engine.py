@@ -67,14 +67,14 @@ three parallel NumPy arrays (state, class id, merged DTMC mass), one
 depth step expands every frontier entry through a flat CSR successor
 structure, merges duplicates with a lexsort + ``reduceat`` reduction
 and applies the truncation test as one vectorized comparison.  The
-final Omega combination groups classes by threshold and evaluates each
-group through :meth:`repro.numerics.orderstat.OmegaCalculator.value_many`
-— one shared memo traversal and a dot product per threshold instead of
-one memoized recursion per class.  The previous dict-of-tuples
-implementation remains available as strategy ``"merged-legacy"`` for
-ablation and equivalence testing; both compute the same aggregation
-(class ids are in bijection with the ``(k, j)`` tuples), so they agree
-to summation-order rounding.
+final Omega combination evaluates every class of a start state, whatever
+its threshold, through one layered pass of
+:meth:`repro.numerics.orderstat.OmegaRegistry.evaluate` and folds each
+threshold's classes into the probability with a dot product.  The
+previous dict-of-tuples implementation remains available as strategy
+``"merged-legacy"`` for ablation and equivalence testing; both compute
+the same aggregation (class ids are in bijection with the ``(k, j)``
+tuples), so they agree to summation-order rounding.
 
 Multiprocess fan-out
 --------------------
@@ -109,7 +109,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -123,7 +123,7 @@ from repro.exceptions import (
 from repro.guard import get_guard
 from repro.mrm.model import MRM
 from repro.obs import get_collector
-from repro.numerics.orderstat import OmegaCalculator
+from repro.numerics.orderstat import OmegaRegistry
 from repro.numerics.poisson import poisson_pmf_table
 
 __all__ = [
@@ -434,7 +434,7 @@ class PathEngineContext:
     heads: np.ndarray
     maxpois: Optional[np.ndarray]
     num_states: int
-    calculators: Dict[float, OmegaCalculator] = field(default_factory=dict)
+    calculators: Optional[OmegaRegistry] = None
     succ_indptr: Optional[np.ndarray] = None
     succ_targets: Optional[np.ndarray] = None
     succ_probs: Optional[np.ndarray] = None
@@ -677,9 +677,8 @@ def _build_context_timed(
     for state in psi:
         psi_mask[state] = True
 
-    calculators: Dict[float, OmegaCalculator]
     if cache is None:
-        calculators = {}
+        calculators = OmegaRegistry.for_reward_levels(reward_levels)
     else:
         calculators = cache.calculators_for(reward_levels)
 
@@ -725,48 +724,51 @@ def joint_distribution_from_context(
     """
     if not 0 <= int(initial_state) < context.num_states:
         raise CheckError(f"initial state {initial_state} out of range")
+    obs = get_collector()
     if context.strategy != "merged-legacy":
         runner = (
             _run_paths_sweep if context.strategy == "paths" else _run_merged_columnar
         )
-        k_rows, j_rows, agg_mass, error_bound, generated, stored, max_depth = (
-            runner(int(initial_state), context)
-        )
-        probability, classes, omega_evals = _combine_with_omega_matrix(
-            k_rows,
-            j_rows,
-            agg_mass,
-            context.reward_levels,
-            context.impulse_levels,
-            context.time_bound,
-            context.reward_bound,
-            calculators=context.calculators,
-            kernels=context.kernels,
-        )
+        with obs.span("until.frontier", state=int(initial_state)):
+            k_rows, j_rows, agg_mass, error_bound, generated, stored, max_depth = (
+                runner(int(initial_state), context)
+            )
+        with obs.span("until.omega", state=int(initial_state)):
+            probability, classes, omega_evals = _combine_with_omega_matrix(
+                k_rows,
+                j_rows,
+                agg_mass,
+                context.reward_levels,
+                context.impulse_levels,
+                context.time_bound,
+                context.reward_bound,
+                context.calculators,
+            )
     else:
-        stats = _run_merged_dp(
-            initial_state=int(initial_state),
-            psi=context.psi,
-            dead=context.dead,
-            successors=context.successors,
-            state_level=context.state_level,
-            num_levels=len(context.reward_levels),
-            num_impulses=len(context.impulse_levels),
-            w=context.w,
-            depth_limit=context.depth_limit,
-            pmf=context.pmf,
-            heads=context.heads,
-            maxpois=context.maxpois,
-        )
-        aggregated, error_bound, generated, stored, max_depth = stats
-        probability, classes, omega_evals = _combine_with_omega(
-            aggregated,
-            context.reward_levels,
-            context.impulse_levels,
-            context.time_bound,
-            context.reward_bound,
-            calculators=context.calculators,
-        )
+        with obs.span("until.frontier", state=int(initial_state)):
+            aggregated, error_bound, generated, stored, max_depth = _run_merged_dp(
+                initial_state=int(initial_state),
+                psi=context.psi,
+                dead=context.dead,
+                successors=context.successors,
+                state_level=context.state_level,
+                num_levels=len(context.reward_levels),
+                num_impulses=len(context.impulse_levels),
+                w=context.w,
+                depth_limit=context.depth_limit,
+                pmf=context.pmf,
+                heads=context.heads,
+                maxpois=context.maxpois,
+            )
+        with obs.span("until.omega", state=int(initial_state)):
+            probability, classes, omega_evals = _combine_with_omega(
+                aggregated,
+                context.reward_levels,
+                context.impulse_levels,
+                context.time_bound,
+                context.reward_bound,
+                context.calculators,
+            )
     return PathEngineResult(
         probability=probability,
         error_bound=error_bound,
@@ -855,8 +857,8 @@ def joint_distribution(
     uniformization_rate:
         Optional explicit ``Lambda``.
     kernels:
-        Hot-loop backend for the columnar sweep and the Omega
-        recursion: ``"auto"`` (numba when available, else the NumPy
+        Hot-loop backend for the frontier merge of the ``merged``
+        sweep: ``"auto"`` (numba when available, else the NumPy
         reference path), ``"numpy"``, ``"numba"`` or ``"python"``.
         All backends return bitwise-identical results; see
         :mod:`repro.kernels`.
@@ -1857,28 +1859,23 @@ def _combine_with_omega(
     impulse_levels: List[float],
     time_bound: float,
     reward_bound: float,
-    calculators: Optional[Dict[float, OmegaCalculator]] = None,
+    calculators: OmegaRegistry,
 ) -> Tuple[float, int, int]:
     """Combine class probabilities with ``Pr{Y(t) <= r | n, k, j}``.
 
     Per eqs. (4.9)/(4.10): with the distinct state rewards
     ``r_1 > ... > r_{K+1}``, group coefficients ``c_l = r_l - r_{K+1}``
     and impulse contribution ``imp = sum_l i_l j_l``, the conditional
-    probability is ``Omega(r/t - r_{K+1} - imp/t, k)``.  One
-    :class:`OmegaCalculator` is shared per distinct threshold so the memo
-    tables are reused across classes; when a ``calculators`` mapping is
-    passed in (the batched path), they are additionally reused across
-    initial states, and the returned evaluation count covers only the
-    nodes newly evaluated by this call.
+    probability is ``Omega(r/t - r_{K+1} - imp/t, k)``.  Every class
+    whose threshold is not negative goes through one pass of the shared
+    ``calculators`` registry, whose memos are reused across initial
+    states; the returned evaluation count covers only the nodes newly
+    evaluated by this call.
     """
-    if calculators is None:
-        calculators = {}
-    evaluations_before = sum(c.evaluations for c in calculators.values())
     if not aggregated:
         return 0.0, 0, 0
     smallest = reward_levels[-1]
-    coefficients = [level - smallest for level in reward_levels]
-    probability = 0.0
+    live = []
     for (k, j), mass in aggregated.items():
         impulse_total = sum(
             level * count for level, count in zip(impulse_levels, j)
@@ -1886,14 +1883,15 @@ def _combine_with_omega(
         threshold = reward_bound / time_bound - smallest - impulse_total / time_bound
         if threshold < 0.0:
             continue  # reward bound already violated by impulses alone
-        calculator = calculators.get(threshold)
-        if calculator is None:
-            calculator = OmegaCalculator(coefficients, threshold)
-            calculators[threshold] = calculator
-        probability += mass * calculator.value(k)
-    omega_evals = (
-        sum(c.evaluations for c in calculators.values()) - evaluations_before
-    )
+        live.append((k, threshold, mass))
+    probability = 0.0
+    omega_evals = 0
+    if live:
+        values, omega_evals = calculators.evaluate(
+            [k for k, _, _ in live], [threshold for _, threshold, _ in live]
+        )
+        for (_, _, mass), value in zip(live, values.tolist()):
+            probability += mass * value
     return probability, len(aggregated), omega_evals
 
 
@@ -1905,28 +1903,28 @@ def _combine_with_omega_matrix(
     impulse_levels: List[float],
     time_bound: float,
     reward_bound: float,
-    calculators: Dict[float, OmegaCalculator],
-    kernels: str = "numpy",
+    calculators: OmegaRegistry,
 ) -> Tuple[float, int, int]:
     """Vectorized Omega combination over columnar class matrices.
 
     The columnar counterpart of :func:`_combine_with_omega`: the
     per-class thresholds are one vector expression over the count
-    matrices, and each group of classes sharing a threshold is evaluated
-    through :meth:`~repro.numerics.orderstat.OmegaCalculator.value_many`
-    — a single shared memo traversal — and folded into the probability
-    with one dot product.
+    matrices, every class with a non-negative threshold goes through one
+    pass of the registry, and each group of classes sharing a threshold
+    is folded into the probability with one dot product.
     """
-    evaluations_before = sum(c.evaluations for c in calculators.values())
     classes = int(masses.size)
     if classes == 0:
         return 0.0, 0, 0
     smallest = reward_levels[-1]
-    coefficients = [level - smallest for level in reward_levels]
     impulse_totals = j_rows @ np.asarray(impulse_levels, dtype=float)
     thresholds = (
         reward_bound / time_bound - smallest - impulse_totals / time_bound
     )
+    # Impulses alone can exceed the reward bound: probability 0.
+    live = np.flatnonzero(thresholds >= 0.0)
+    values = np.zeros(classes)
+    values[live], omega_evals = calculators.evaluate(k_rows[live], thresholds[live])
     probability = 0.0
     order = np.argsort(thresholds, kind="stable")
     sorted_thresholds = thresholds[order]
@@ -1935,17 +1933,8 @@ def _combine_with_omega_matrix(
     )
     ends = np.r_[starts[1:], np.int64(order.size)]
     for start, end in zip(starts.tolist(), ends.tolist()):
-        threshold = float(sorted_thresholds[start])
-        if threshold < 0.0:
-            continue  # reward bound already violated by impulses alone
+        if sorted_thresholds[start] < 0.0:
+            continue
         rows = order[start:end]
-        calculator = calculators.get(threshold)
-        if calculator is None:
-            calculator = OmegaCalculator(coefficients, threshold)
-            calculators[threshold] = calculator
-        values = calculator.value_many(k_rows[rows], backend=kernels)
-        probability += float(masses[rows] @ values)
-    omega_evals = (
-        sum(c.evaluations for c in calculators.values()) - evaluations_before
-    )
+        probability += float(masses[rows] @ values[rows])
     return probability, classes, omega_evals

@@ -81,6 +81,7 @@ import numpy as np
 
 from repro.exceptions import CheckError, GuardExceeded, WorkerError
 from repro.guard import Guard, get_guard, use_guard
+from repro.numerics.orderstat import OmegaRegistry
 from repro.obs import Collector, get_collector, use_collector
 
 __all__ = [
@@ -382,7 +383,7 @@ def _attach_context(descriptor: ContextDescriptor):
         heads=arrays["heads"],
         maxpois=arrays.get("maxpois"),
         num_states=descriptor.num_states,
-        calculators={},
+        calculators=OmegaRegistry.for_reward_levels(descriptor.reward_levels),
         succ_indptr=arrays["succ_indptr"],
         succ_targets=arrays["succ_targets"],
         succ_probs=arrays["succ_probs"],

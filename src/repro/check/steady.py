@@ -13,7 +13,9 @@ The BSCC decomposition, the per-BSCC stationary distributions and the
 reachability probabilities depend only on the model — not on ``Phi`` —
 so they are computed once per model and shared through the
 :class:`~repro.check.engine_cache.EngineCache` (keyed by
-:meth:`repro.mrm.MRM.fingerprint`).  Each ``S`` formula then costs one
+:meth:`repro.mrm.MRM.fingerprint`), together with the worst residual of
+the linear solves that built them, which every read records into the
+reader's error budget.  Each ``S`` formula then costs one
 ``O(n * #BSCC)`` accumulation instead of a dense ``n x n`` solve; no
 dense steady-state matrix is ever materialized.
 """
@@ -30,7 +32,7 @@ from repro.ctmc.steady import bscc_steady_structure
 from repro.guard import get_guard
 from repro.logic.ast import Comparison
 from repro.mrm.model import MRM
-from repro.obs import get_collector
+from repro.obs import Collector, ErrorBudget, get_collector, use_collector
 
 __all__ = ["steady_state_values", "satisfy_steady"]
 
@@ -42,12 +44,34 @@ def _steady_structure(model: MRM, cache: Optional[EngineCache]) -> _Structure:
 
     The structure is immutable after construction, so one
     :class:`EngineCache` entry per model fingerprint serves every ``S``
-    formula, repeated checkers, and CLI runs over equal models.
+    formula, repeated checkers, and CLI runs over equal models.  The
+    build records its solves on a private collector and the entry keeps
+    their worst residual: the building read folds the recording into
+    the ambient collector, every other read replays the residual, so
+    each reader's error budget carries it.
     """
+    recorders: List[Collector] = []
+
+    def build() -> Tuple[_Structure, ErrorBudget]:
+        recorder = Collector()
+        with use_collector(recorder):
+            structure = bscc_steady_structure(model.ctmc)
+        recorders.append(recorder)
+        residual = ErrorBudget.from_collector(recorder).solver_residual
+        return structure, ErrorBudget(solver_residual=residual)
+
     if cache is None:
-        return bscc_steady_structure(model.ctmc)
-    key = ("steady-structure", model.fingerprint())
-    return cache.get_or_build(key, lambda: bscc_steady_structure(model.ctmc))
+        structure, budget = build()
+    else:
+        key = ("steady-structure", model.fingerprint())
+        structure, budget = cache.get_or_build(key, build)
+    obs = get_collector()
+    if recorders:
+        if obs.enabled:
+            obs.merge_snapshot(recorders[0].snapshot())
+    else:
+        budget.replay(obs)
+    return structure
 
 
 def steady_state_values(

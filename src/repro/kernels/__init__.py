@@ -1,9 +1,9 @@
 """Backend-dispatched compiled kernels for the engine hot loops.
 
-The columnar frontier merge (:func:`_impl.expand_merge`,
-:func:`_impl.group_pairs`) and the Omega recursion
-(:func:`_impl.omega_eval`) dominate the path engine's runtime.  This
-package selects, builds and caches one implementation set per process:
+The columnar frontier merge of the ``merged`` sweep
+(:func:`_impl.expand_merge`, :func:`_impl.group_pairs`) is a hot loop of
+the path engine.  This package selects, builds and caches one
+implementation set per process:
 
 * ``"numpy"`` — no kernel set at all; the engine runs its vectorized
   NumPy reference path.  Always available.
@@ -35,14 +35,11 @@ import numpy as np
 
 from repro.exceptions import CheckError
 from repro.kernels import _impl
-from repro.kernels._impl import OMEGA_MAX_COUNT, OMEGA_MAX_GROUPS
 from repro.obs import get_collector
 
 __all__ = [
     "BACKENDS",
     "KernelSet",
-    "OMEGA_MAX_COUNT",
-    "OMEGA_MAX_GROUPS",
     "active_kernels",
     "kernel_set",
     "numba_available",
@@ -58,9 +55,6 @@ BACKENDS = ("auto", "numpy", "numba", "python")
 class KernelSet:
     """One backend's compiled (or plain) kernel callables.
 
-    ``make_omega_memo`` builds an empty memo mapping of the type the
-    backend's :func:`~repro.kernels._impl.omega_eval` accepts (a numba
-    typed dict for the jitted kernel, a plain dict otherwise);
     ``compile_seconds`` is the one-off JIT build + warm-up cost paid by
     the process that compiled the set (0.0 for ``"python"``).
     """
@@ -68,8 +62,6 @@ class KernelSet:
     backend: str
     expand_merge: Callable
     group_pairs: Callable
-    omega_eval: Callable
-    make_omega_memo: Callable[[], object]
     compile_seconds: float
 
 
@@ -110,36 +102,17 @@ def _warm(kernels: KernelSet) -> None:
         int1, int1, int1, float1, indptr, int1, float1, int1, int1, int1, 1
     )
     kernels.group_pairs(int1, int1, float1)
-    rows = np.ones((1, 1), dtype=np.int64)
-    weights = np.zeros((1, 1), dtype=np.float64)
-    out = np.empty(1, dtype=np.float64)
-    kernels.omega_eval(
-        rows,
-        np.empty(0, dtype=np.int64),
-        int1,
-        weights,
-        weights,
-        kernels.make_omega_memo(),
-        out,
-    )
 
 
 def _build_numba_set() -> KernelSet:
     """Import numba, jit the loop kernels and warm them; timed."""
     start = time.perf_counter()
-    from numba import njit, typed, types
-
-    key_type = types.UniTuple(types.int64, 2)
-
-    def make_omega_memo() -> object:
-        return typed.Dict.empty(key_type, types.float64)
+    from numba import njit
 
     built = KernelSet(
         backend="numba",
         expand_merge=njit(nogil=True)(_impl.expand_merge),
         group_pairs=njit(nogil=True)(_impl.group_pairs),
-        omega_eval=njit(nogil=True)(_impl.omega_eval),
-        make_omega_memo=make_omega_memo,
         compile_seconds=0.0,
     )
     _warm(built)
@@ -148,8 +121,6 @@ def _build_numba_set() -> KernelSet:
         backend="numba",
         expand_merge=built.expand_merge,
         group_pairs=built.group_pairs,
-        omega_eval=built.omega_eval,
-        make_omega_memo=make_omega_memo,
         compile_seconds=elapsed,
     )
 
@@ -173,8 +144,6 @@ def kernel_set(backend: str) -> Optional[KernelSet]:
             backend="python",
             expand_merge=_impl.expand_merge,
             group_pairs=_impl.group_pairs,
-            omega_eval=_impl.omega_eval,
-            make_omega_memo=dict,
             compile_seconds=0.0,
         )
     elif backend == "numba":

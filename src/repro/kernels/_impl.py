@@ -1,4 +1,4 @@
-"""Backend-agnostic loop kernels for the two hot paths.
+"""Backend-agnostic loop kernels for the merged sweep's frontier merge.
 
 Every function in this module is written in the nopython subset of
 Python/NumPy that Numba's ``njit`` accepts — scalars, tuples, lists of
@@ -23,26 +23,11 @@ These kernels must reproduce the NumPy reference paths *bitwise*:
   ufunc's internal pairwise summation order is part of the bitwise
   contract and is matched trivially by invoking the ufunc itself.
   The truncation test and discarded-mass sum also stay in the wrapper.
-* :func:`omega_eval` replays the scalar Omega stack of
-  ``OmegaCalculator._evaluate`` over bit-packed count keys: the same
-  first-positive-group ``(i, j)`` selection, the same
-  ``w_j * Omega(k - 1_j) + w_i * Omega(k - 1_i)`` arithmetic on the
-  same float64 weights, hence the same values by induction.  Compiled
-  without ``fastmath`` so no FMA contraction or reassociation happens.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Fixed bit-field layout for packed Omega count keys: 4 fields of 15
-# bits per 63-bit word, two words -> at most 8 coefficient groups with
-# counts below 2**15.  Callers must check both limits and fall back to
-# the tuple-keyed NumPy path when exceeded.
-OMEGA_BITS = 15
-OMEGA_FIELDS_PER_WORD = 4
-OMEGA_MAX_GROUPS = 2 * OMEGA_FIELDS_PER_WORD
-OMEGA_MAX_COUNT = (1 << OMEGA_BITS) - 1
 
 
 def expand_merge(
@@ -211,119 +196,3 @@ def group_pairs(lo, hi, mass):
         sorted_mass,
         group_starts[:num_groups],
     )
-
-
-def omega_eval(rows, greater, lesser, weight_j, weight_i, memo, out):
-    """Memoized Omega recursion (Alg. 4.8) over packed count keys.
-
-    ``rows`` is an ``(m, g)`` int64 count matrix with ``g <=``
-    :data:`OMEGA_MAX_GROUPS` and every count ``<=``
-    :data:`OMEGA_MAX_COUNT`; ``greater``/``lesser`` list the group
-    indices with coefficient above/at-most the threshold, in ascending
-    order (the scalar path's first-positive selection order);
-    ``weight_j``/``weight_i`` are the per-``(i, j)`` recursion weights
-    built with the scalar arithmetic.  ``memo`` maps packed
-    ``(lo, hi)`` keys to values and persists across calls per
-    calculator and backend.  Writes ``Omega(threshold, rows[r])`` into
-    ``out[r]`` and returns the number of nodes evaluated for the first
-    time (the ``evaluations`` delta).
-    """
-    evals = 0
-    one = np.int64(1)
-    for r in range(rows.shape[0]):
-        root_lo = np.int64(0)
-        root_hi = np.int64(0)
-        for f in range(rows.shape[1]):
-            value = rows[r, f]
-            if f < OMEGA_FIELDS_PER_WORD:
-                root_lo |= value << np.int64(f * OMEGA_BITS)
-            else:
-                root_hi |= value << np.int64((f - OMEGA_FIELDS_PER_WORD) * OMEGA_BITS)
-        root = (root_lo, root_hi)
-        if root not in memo:
-            # Iterative DFS replaying OmegaCalculator._evaluate: a node
-            # is resolved once both children are memoized; missing
-            # children are pushed and the node re-visited.
-            stack = [root]
-            while len(stack) > 0:
-                cur = stack[len(stack) - 1]
-                if cur in memo:
-                    stack.pop()
-                    continue
-                cur_lo = cur[0]
-                cur_hi = cur[1]
-                i_sel = -1
-                mass_greater = np.int64(0)
-                for t in range(greater.shape[0]):
-                    f = greater[t]
-                    if f < OMEGA_FIELDS_PER_WORD:
-                        count = (cur_lo >> np.int64(f * OMEGA_BITS)) & np.int64(
-                            OMEGA_MAX_COUNT
-                        )
-                    else:
-                        count = (
-                            cur_hi >> np.int64((f - OMEGA_FIELDS_PER_WORD) * OMEGA_BITS)
-                        ) & np.int64(OMEGA_MAX_COUNT)
-                    mass_greater += count
-                    if i_sel < 0 and count > 0:
-                        i_sel = f
-                if mass_greater == 0:
-                    memo[cur] = 1.0
-                    evals += 1
-                    stack.pop()
-                    continue
-                j_sel = -1
-                mass_lesser = np.int64(0)
-                for t in range(lesser.shape[0]):
-                    f = lesser[t]
-                    if f < OMEGA_FIELDS_PER_WORD:
-                        count = (cur_lo >> np.int64(f * OMEGA_BITS)) & np.int64(
-                            OMEGA_MAX_COUNT
-                        )
-                    else:
-                        count = (
-                            cur_hi >> np.int64((f - OMEGA_FIELDS_PER_WORD) * OMEGA_BITS)
-                        ) & np.int64(OMEGA_MAX_COUNT)
-                    mass_lesser += count
-                    if j_sel < 0 and count > 0:
-                        j_sel = f
-                if mass_lesser == 0:
-                    memo[cur] = 0.0
-                    evals += 1
-                    stack.pop()
-                    continue
-                # Decrement one field: fields are independent bit
-                # ranges and the decremented count is positive, so a
-                # plain word subtraction never borrows across fields.
-                if j_sel < OMEGA_FIELDS_PER_WORD:
-                    child_j = (cur_lo - (one << np.int64(j_sel * OMEGA_BITS)), cur_hi)
-                else:
-                    child_j = (
-                        cur_lo,
-                        cur_hi
-                        - (one << np.int64((j_sel - OMEGA_FIELDS_PER_WORD) * OMEGA_BITS)),
-                    )
-                if i_sel < OMEGA_FIELDS_PER_WORD:
-                    child_i = (cur_lo - (one << np.int64(i_sel * OMEGA_BITS)), cur_hi)
-                else:
-                    child_i = (
-                        cur_lo,
-                        cur_hi
-                        - (one << np.int64((i_sel - OMEGA_FIELDS_PER_WORD) * OMEGA_BITS)),
-                    )
-                have_j = child_j in memo
-                have_i = child_i in memo
-                if have_j and have_i:
-                    memo[cur] = (
-                        weight_j[i_sel, j_sel] * memo[child_j]
-                        + weight_i[i_sel, j_sel] * memo[child_i]
-                    )
-                    evals += 1
-                    stack.pop()
-                else:
-                    if not have_j:
-                        stack.append(child_j)
-                    if not have_i:
-                        stack.append(child_i)
-        out[r] = memo[root]
-    return evals

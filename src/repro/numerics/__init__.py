@@ -16,7 +16,7 @@ from repro.numerics.linsolve import (
     solve_linear_system,
     sor,
 )
-from repro.numerics.orderstat import OmegaCalculator, omega
+from repro.numerics.orderstat import OmegaCalculator, OmegaRegistry, omega
 
 __all__ = [
     "Interval",
@@ -32,5 +32,6 @@ __all__ = [
     "solve_direct",
     "solve_linear_system",
     "OmegaCalculator",
+    "OmegaRegistry",
     "omega",
 ]

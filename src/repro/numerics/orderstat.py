@@ -20,21 +20,85 @@ for any ``i`` with ``c_i > r`` and ``j`` with ``c_j <= r`` (both with
 positive count), with base cases Omega = 1 when no coefficient exceeds
 ``r`` and Omega = 0 when all coefficients exceed ``r``.  All multipliers
 lie in ``[0, 1]``, which is the source of the method's stability.
+
+Every step decrements exactly one count, so the sub-problems under a set
+of count vectors form a DAG layered by the row sum ``n = sum(k)``.  The
+evaluator walks those layers as arrays: once top-down to find the nodes
+missing from the memo, their ``(i, j)`` choices and where each child's
+value comes from, then once bottom-up to compute the values.  Within a
+layer the row sum fixes the last count, so a count vector is one
+integer key in the mixed radix ``n + 1`` over its first ``G - 1``
+counts; the memo of one threshold is, per layer, a sorted key array and
+a value array.  Keys that would not fit an ``int64`` are Python ints in
+object arrays, through the same code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+import threading
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import NumericalError
 
-__all__ = ["OmegaCalculator", "omega", "conditional_reward_probability"]
+__all__ = [
+    "OmegaCalculator",
+    "OmegaRegistry",
+    "omega",
+    "conditional_reward_probability",
+]
+
+#: Keys at or above this bound do not fit an ``int64`` and go wide.
+_INT64_LIMIT = 1 << 63
+
+
+def _count_matrix(counts, width: int) -> np.ndarray:
+    """``counts`` as a validated ``(rows, width)`` int64 matrix."""
+    matrix = np.asarray(counts, dtype=np.int64)
+    if matrix.ndim != 2:
+        raise NumericalError(
+            f"expected a 2-D array of counts, got shape {matrix.shape}"
+        )
+    if matrix.shape[1] != width:
+        raise NumericalError(
+            f"count vectors have length {matrix.shape[1]}, expected {width}"
+        )
+    if matrix.size and int(matrix.min()) < 0:
+        raise NumericalError("counts must be non-negative")
+    return matrix
+
+
+def _locate(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of each query in ``sorted_keys``; -1 where it is absent."""
+    if sorted_keys.size == 0:
+        return np.full(queries.shape, -1, dtype=np.int64)
+    positions = np.searchsorted(sorted_keys, queries)
+    found = sorted_keys[np.minimum(positions, sorted_keys.size - 1)] == queries
+    return np.where(found, positions, -1)
+
+
+def _gather(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``values[positions]``, refusing the -1 of a node the memo lacks."""
+    if positions.size and int(positions.min()) < 0:
+        raise NumericalError("Omega recursion: a child node is missing from the memo")
+    return values[positions]
+
+
+def _encode(rows: np.ndarray, radix: int, wide: bool) -> np.ndarray:
+    """Mixed-radix keys of count rows over all but their last column."""
+    fields = rows.shape[1] - 1
+    if fields <= 0:
+        return np.zeros(rows.shape[0], dtype=object if wide else np.int64)
+    if wide:
+        powers = np.array([radix**l for l in range(fields)], dtype=object)
+        return rows[:, :fields].astype(object) @ powers
+    powers = radix ** np.arange(fields, dtype=np.int64)
+    return rows[:, :fields] @ powers
 
 
 class OmegaCalculator:
-    """Evaluator for ``Omega(r, k)`` with memoization across calls.
+    """Evaluator for ``Omega(r, k)`` at one threshold, memoized across calls.
 
     Parameters
     ----------
@@ -49,8 +113,10 @@ class OmegaCalculator:
 
     Notes
     -----
-    The memo table is keyed by the count vector ``k`` only (the threshold
-    is fixed), so repeated queries from many generated paths share work.
+    The memo holds, per layer ``n``, the sorted packed keys of every
+    count vector evaluated so far and their values, so repeated queries
+    share work.  :class:`OmegaRegistry` groups the calculators of many
+    thresholds over one coefficient vector and evaluates them together.
     """
 
     def __init__(self, coefficients: Sequence[float], threshold: float) -> None:
@@ -59,16 +125,21 @@ class OmegaCalculator:
             raise NumericalError("Omega coefficients must be pairwise distinct")
         self._coefficients = coeffs
         self._threshold = float(threshold)
-        self._greater = [l for l, c in enumerate(coeffs) if c > threshold]
-        self._lesser = [l for l, c in enumerate(coeffs) if c <= threshold]
-        self._memo: Dict[Tuple[int, ...], float] = {}
-        # Per-backend compiled-kernel state: (greater, lesser, weight
-        # tables, packed-key memo), built lazily on first kernel use.
-        # The packed memos are independent of the tuple-keyed _memo;
-        # both paths compute bitwise-identical values, so mixing
-        # backends on one calculator at most repeats work, never
-        # changes a result.
-        self._kernel_state: Dict[str, tuple] = {}
+        c = np.asarray(coeffs, dtype=np.float64)
+        r = self._threshold
+        self._greater = c > r
+        # Per-(i, j) recursion weights for i in G, j in L: elementwise
+        # float64 arithmetic, the same operations the scalar formula does.
+        pairs = self._greater[:, None] & ~self._greater[None, :]
+        span = c[:, None] - c[None, :]
+        self._weight_j = np.divide(
+            c[:, None] - r, span, out=np.zeros_like(span), where=pairs
+        )
+        self._weight_i = np.divide(
+            r - c[None, :], span, out=np.zeros_like(span), where=pairs
+        )
+        self._layers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
         self.evaluations = 0
 
     @property
@@ -85,302 +156,271 @@ class OmegaCalculator:
         ``counts[l]`` is the number of sojourn intervals carrying
         coefficient ``coefficients[l]``.
         """
-        key = tuple(int(c) for c in counts)
-        if len(key) != len(self._coefficients):
-            raise NumericalError(
-                f"count vector has length {len(key)}, expected "
-                f"{len(self._coefficients)}"
-            )
-        if any(c < 0 for c in key):
-            raise NumericalError("counts must be non-negative")
-        return self._value(key)
+        return float(self.value_many([[int(c) for c in counts]])[0])
 
-    def value_many(self, counts, backend: str = "numpy") -> np.ndarray:
+    def value_many(self, counts) -> np.ndarray:
         """Batch ``Omega(threshold, k)`` for every row of ``counts``.
 
         ``counts`` is a 2-D array-like of non-negative integers, one
-        count vector per row.  All rows are evaluated through a *single*
-        traversal of the shared memo table: every distinct unmemoized key
-        is pushed onto one work stack, so common sub-problems between the
-        rows (which dominate — the recursion only ever decrements
-        entries) are expanded exactly once.  This is what turns the
-        per-class Omega combination of the path engine into one batched
-        lookup per depth instead of one memoized recursion per class.
-
-        ``backend`` selects a compiled kernel (see :mod:`repro.kernels`)
-        for the recursion when one is available and the counts fit the
-        packed-key layout; results are bitwise identical to the default
-        ``"numpy"`` path, which this method silently falls back to
-        otherwise.
-
-        Returns the values as a float array aligned with the input rows.
+        count vector per row.  All rows are evaluated through one layered
+        pass over the shared memo, so common sub-problems between the
+        rows are expanded exactly once.  Returns the values as a float
+        array aligned with the input rows.
         """
-        matrix = np.asarray(counts, dtype=np.int64)
-        if matrix.ndim != 2:
-            raise NumericalError(
-                "value_many expects a 2-D array of counts, got shape "
-                f"{matrix.shape}"
+        matrix = _count_matrix(counts, len(self._coefficients))
+        with self._lock:
+            values, _ = _evaluate(
+                [self], np.zeros(matrix.shape[0], dtype=np.int64), matrix
             )
-        if matrix.shape[1] != len(self._coefficients):
-            raise NumericalError(
-                f"count vectors have length {matrix.shape[1]}, expected "
-                f"{len(self._coefficients)}"
-            )
-        if matrix.size and int(matrix.min()) < 0:
-            raise NumericalError("counts must be non-negative")
-        if backend != "numpy" and matrix.size:
-            values = self._value_many_kernel(matrix, backend)
-            if values is not None:
-                return values
-        memo = self._memo
-        keys = list(map(tuple, matrix.tolist()))
-        missing = [key for key in dict.fromkeys(keys) if key not in memo]
-        if missing:
-            self._evaluate_batch(missing)
-        return np.array([memo[key] for key in keys], dtype=float)
-
-    def _value_many_kernel(self, matrix: np.ndarray, backend: str):
-        """Kernel-backed :meth:`value_many`, or ``None`` to fall back.
-
-        Falls back (returning ``None``) when the backend has no kernel
-        set, the group count exceeds the packed-key layout, or any
-        count overflows a packed field — the NumPy path handles every
-        such case.
-        """
-        # Local import: keeps repro.numerics importable without pulling
-        # in the obs layer at module-import time.
-        from repro import kernels as kernels_mod
-
-        if len(self._coefficients) > kernels_mod.OMEGA_MAX_GROUPS:
-            return None
-        if int(matrix.max()) > kernels_mod.OMEGA_MAX_COUNT:
-            return None
-        kernel_set = kernels_mod.active_kernels(backend)
-        if kernel_set is None:
-            return None
-        matrix = np.ascontiguousarray(matrix)
-        state = self._kernel_state.get(kernel_set.backend)
-        if state is None:
-            num_groups = len(self._coefficients)
-            # Per-(i, j) recursion weights with the exact scalar
-            # arithmetic of _split, as in _evaluate_batch.
-            weight_j = np.zeros((num_groups, num_groups), dtype=np.float64)
-            weight_i = np.zeros((num_groups, num_groups), dtype=np.float64)
-            for i in self._greater:
-                for j in self._lesser:
-                    c_i = self._coefficients[i]
-                    c_j = self._coefficients[j]
-                    weight_j[i, j] = (c_i - self._threshold) / (c_i - c_j)
-                    weight_i[i, j] = (self._threshold - c_j) / (c_i - c_j)
-            state = (
-                np.asarray(self._greater, dtype=np.int64),
-                np.asarray(self._lesser, dtype=np.int64),
-                weight_j,
-                weight_i,
-                kernel_set.make_omega_memo(),
-            )
-            self._kernel_state[kernel_set.backend] = state
-        greater, lesser, weight_j, weight_i, memo = state
-        values = np.empty(matrix.shape[0], dtype=np.float64)
-        self.evaluations += int(
-            kernel_set.omega_eval(
-                matrix, greater, lesser, weight_j, weight_i, memo, values
-            )
-        )
         return values
 
-    def _split(self, key: Tuple[int, ...]):
-        """Base-case value, or the two child keys with their weights.
+    def _insert(self, layer: int, keys: np.ndarray, values: np.ndarray) -> None:
+        """Merge new (key-sorted, memo-disjoint) nodes into one layer."""
+        stored = self._layers.get(layer)
+        if stored is None:
+            self._layers[layer] = (keys.copy(), values.copy())
+            return
+        old_keys, old_values = stored
+        at = np.searchsorted(old_keys, keys)
+        self._layers[layer] = (
+            np.insert(old_keys, at, keys),
+            np.insert(old_values, at, values),
+        )
 
-        Returns either ``(value, None)`` for a base case or
-        ``(None, (child_j, weight_j, child_i, weight_i))`` for a
-        recursion step.
+
+class OmegaRegistry:
+    """The per-threshold Omega calculators of one coefficient vector.
+
+    Every formula over a model with the same distinct state rewards
+    shares the group coefficients, so one registry serves them all
+    (:meth:`repro.check.EngineCache.calculators_for`).  The registry owns
+    one :class:`OmegaCalculator` per threshold — the memo stays per
+    threshold, so a pass merges new nodes only into the thresholds it
+    touches — and :meth:`evaluate` runs one layered pass over the rows of
+    all thresholds at once.  A lock serializes passes, so threads
+    sharing a registry never lose or misread a memo update.
+    """
+
+    def __init__(self, coefficients: Sequence[float]) -> None:
+        self._coefficients = [float(c) for c in coefficients]
+        if len(set(self._coefficients)) != len(self._coefficients):
+            raise NumericalError("Omega coefficients must be pairwise distinct")
+        self._calculators: Dict[float, OmegaCalculator] = {}
+        self._lock = threading.Lock()
+
+    @classmethod
+    def for_reward_levels(cls, reward_levels: Sequence[float]) -> "OmegaRegistry":
+        """The registry for distinct state rewards ``r_1 > ... > r_{K+1}``.
+
+        Eq. (4.9)'s group coefficients are ``c_l = r_l - r_{K+1}``.
         """
-        mass_greater = sum(key[l] for l in self._greater)
-        if mass_greater == 0:
-            # Every interval's coefficient is <= r, so the combination is
-            # certainly bounded by r.
-            return 1.0, None
-        mass_lesser = sum(key[l] for l in self._lesser)
-        if mass_lesser == 0:
-            return 0.0, None
-        i = next(l for l in self._greater if key[l] > 0)
-        j = next(l for l in self._lesser if key[l] > 0)
-        c_i = self._coefficients[i]
-        c_j = self._coefficients[j]
-        r = self._threshold
-        without_j = list(key)
-        without_j[j] -= 1
-        without_i = list(key)
-        without_i[i] -= 1
-        weight_j = (c_i - r) / (c_i - c_j)
-        weight_i = (r - c_j) / (c_i - c_j)
-        return None, (tuple(without_j), weight_j, tuple(without_i), weight_i)
+        levels = [float(level) for level in reward_levels]
+        smallest = levels[-1]
+        return cls([level - smallest for level in levels])
 
-    def _evaluate_batch(self, roots) -> None:
-        """Evaluate all ``roots`` through one generation-synchronous sweep.
+    @property
+    def evaluations(self) -> int:
+        """Nodes evaluated so far, over every threshold."""
+        with self._lock:
+            return sum(c.evaluations for c in self._calculators.values())
 
-        The recursion of :meth:`_split` always decrements exactly one
-        entry, so every child of a count vector with sum ``n`` has sum
-        ``n - 1``: the dependency DAG is layered by row sum.  This walks
-        the layers top-down, resolving each layer's base cases, child
-        selections and recursion weights with vectorized array
-        operations, then propagates values bottom-up.  Each distinct
-        sub-problem is expanded exactly once and the arithmetic per node
-        (two multiplies and an add on the same operands, in the same
-        order) is bitwise identical to the scalar stack of
-        :meth:`_evaluate`, so the memo contents agree between the two
-        paths.
+    def evaluate(self, counts, thresholds) -> Tuple[np.ndarray, int]:
+        """``Omega(thresholds[r], counts[r])`` for every row ``r``.
+
+        One layered pass covers all rows, whatever their thresholds.
+        Returns the values and the number of nodes this call evaluated
+        for the first time.
         """
-        memo = self._memo
-        coeffs = self._coefficients
-        num_groups = len(coeffs)
-        greater = self._greater
-        lesser = self._lesser
-        threshold = self._threshold
+        matrix = _count_matrix(counts, len(self._coefficients))
+        levels = np.asarray(thresholds, dtype=np.float64).reshape(-1)
+        if levels.size != matrix.shape[0]:
+            raise NumericalError(
+                f"{levels.size} thresholds for {matrix.shape[0]} count rows"
+            )
+        distinct, which = np.unique(levels, return_inverse=True)
+        with self._lock:
+            calculators = []
+            for threshold in distinct.tolist():
+                calculator = self._calculators.get(threshold)
+                if calculator is None:
+                    calculator = OmegaCalculator(self._coefficients, threshold)
+                    self._calculators[threshold] = calculator
+                calculators.append(calculator)
+            return _evaluate(calculators, which.reshape(-1), matrix)
 
-        # Per-(i, j) recursion weights, built with the exact scalar
-        # arithmetic of _split so both evaluation paths agree bitwise.
-        if greater and lesser:
-            greater_idx = np.array(greater, dtype=np.int64)
-            lesser_idx = np.array(lesser, dtype=np.int64)
-            weight_j_table = np.zeros((num_groups, num_groups), dtype=float)
-            weight_i_table = np.zeros((num_groups, num_groups), dtype=float)
-            for i in greater:
-                for j in lesser:
-                    c_i = coeffs[i]
-                    c_j = coeffs[j]
-                    weight_j_table[i, j] = (c_i - threshold) / (c_i - c_j)
-                    weight_i_table[i, j] = (threshold - c_j) / (c_i - c_j)
 
-        # Bucket the roots by layer (row sum); positions within a layer
-        # follow insertion order, which the value arrays mirror.
-        pending_layers: Dict[int, Dict[Tuple[int, ...], int]] = {}
-        for key in roots:
-            index = pending_layers.setdefault(sum(key), {})
-            if key not in index:
-                index[key] = len(index)
+def _evaluate(
+    calculators: List[OmegaCalculator], which: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """Omega of ``counts[r]`` at ``calculators[which[r]]``'s threshold.
 
-        layers = []
-        layer_sum = max(pending_layers)
-        index = pending_layers.pop(layer_sum)
-        while True:
-            keys = list(index)
-            rows = np.array(keys, dtype=np.int64).reshape(len(keys), num_groups)
-            self.evaluations += len(keys)
-            mass_greater = rows[:, greater].sum(axis=1)
-            mass_lesser = rows[:, lesser].sum(axis=1)
-            # Base cases exactly as _split orders them: certainly bounded
-            # when no above-threshold coefficient has mass, certainly
-            # unbounded when only above-threshold coefficients have mass.
-            values = np.where(mass_greater == 0, 1.0, 0.0)
-            recursing = np.flatnonzero((mass_greater > 0) & (mass_lesser > 0))
-            record = (keys, values, recursing, None)
-            next_index: Dict[Tuple[int, ...], int] = {}
-            if recursing.size:
-                sub = rows[recursing]
-                # First positive-count group above/below the threshold —
-                # the same (i, j) choice the scalar _split makes.
-                i_sel = greater_idx[np.argmax(sub[:, greater_idx] > 0, axis=1)]
-                j_sel = lesser_idx[np.argmax(sub[:, lesser_idx] > 0, axis=1)]
-                arange = np.arange(recursing.size)
-                child_j = sub.copy()
-                child_j[arange, j_sel] -= 1
-                child_i = sub.copy()
-                child_i[arange, i_sel] -= 1
+    The caller holds the lock that guards the calculators' memos.  One
+    top-down sweep over the layers collects, per layer, the queries
+    (children of the layer above, then the roots of this layer), finds
+    them in the memos of the thresholds this layer touches, and turns
+    the misses into new nodes with their base values, ``(i, j)`` choices
+    and children.  Within a layer a query is tagged ``calculator * span +
+    key`` (``span = (n + 1) ** (G - 1)``), so one sort and one search
+    serve every threshold.  The bottom-up sweep then computes
+    ``w_j * v_j + w_i * v_i`` per recursing node — the same float64
+    operations on the same operands as the scalar recursion, hence the
+    same bits — resolves the queries, and merges the new nodes into the
+    memos.  Returns the values and the number of new nodes.
+    """
+    values_out = np.empty(counts.shape[0], dtype=np.float64)
+    if counts.shape[0] == 0:
+        return values_out, 0
+    num_groups = counts.shape[1]
+    fields = max(num_groups - 1, 0)
+    num_calcs = len(calculators)
+    greater = np.stack([c._greater for c in calculators])
+    weight_j = np.stack([c._weight_j for c in calculators])
+    weight_i = np.stack([c._weight_i for c in calculators])
 
-                def resolve(children: np.ndarray):
-                    """Split children into memo hits and next-layer slots."""
-                    position = np.empty(children.shape[0], dtype=np.int64)
-                    known = np.zeros(children.shape[0], dtype=float)
-                    for row, child in enumerate(map(tuple, children.tolist())):
-                        value = memo.get(child)
-                        if value is not None:
-                            position[row] = -1
-                            known[row] = value
-                        else:
-                            position[row] = next_index.setdefault(
-                                child, len(next_index)
-                            )
-                    return position, known
+    sums = counts.sum(axis=1)
+    order = np.argsort(sums, kind="stable")
+    layer_ids, starts, sizes = np.unique(
+        sums[order], return_index=True, return_counts=True
+    )
+    roots_by_layer = {
+        int(layer): order[start : start + size]
+        for layer, start, size in zip(layer_ids, starts, sizes)
+    }
 
-                pos_j, val_j = resolve(child_j)
-                pos_i, val_i = resolve(child_i)
-                record = (
-                    keys,
-                    values,
-                    recursing,
-                    (
-                        weight_j_table[i_sel, j_sel],
-                        weight_i_table[i_sel, j_sel],
-                        pos_j,
-                        val_j,
-                        pos_i,
-                        val_i,
-                    ),
-                )
-            layers.append(record)
-            # Merge roots that start at the next layer down.
-            layer_sum -= 1
-            for key in pending_layers.pop(layer_sum, {}):
-                next_index.setdefault(key, len(next_index))
-            if next_index:
-                index = next_index
-            elif pending_layers:
-                layer_sum = max(pending_layers)
-                index = pending_layers.pop(layer_sum)
-            else:
-                break
+    empty_rows = np.zeros((0, num_groups), dtype=np.int64)
+    empty_index = np.zeros(0, dtype=np.int64)
+    child_rows, child_calc = empty_rows, empty_index
+    child_keys: np.ndarray = empty_index
+    plan = []
+    layer = int(layer_ids[-1])
+    while True:
+        span = (layer + 1) ** fields
+        key_dtype = object if span >= _INT64_LIMIT else np.int64
+        tag_dtype = object if num_calcs * span >= _INT64_LIMIT else np.int64
+        roots = roots_by_layer.pop(layer, empty_index)
+        root_rows = counts[roots]
+        rows = np.concatenate((child_rows, root_rows))
+        calc = np.concatenate((child_calc, which[roots]))
+        keys = np.concatenate(
+            (
+                child_keys.astype(key_dtype, copy=False),
+                _encode(root_rows, layer + 1, key_dtype is object),
+            )
+        )
+        tags = calc.astype(tag_dtype, copy=False) * span + keys.astype(
+            tag_dtype, copy=False
+        )
 
-        # Bottom-up value propagation: children live one layer below, so
-        # the previous iteration's value array resolves every reference.
-        child_values = np.zeros(1)
-        for keys, values, recursing, recursion in reversed(layers):
-            if recursion is not None:
-                weight_j, weight_i, pos_j, val_j, pos_i, val_i = recursion
-                resolved_j = np.where(
-                    pos_j >= 0, child_values[np.maximum(pos_j, 0)], val_j
-                )
-                resolved_i = np.where(
-                    pos_i >= 0, child_values[np.maximum(pos_i, 0)], val_i
-                )
-                values[recursing] = weight_j * resolved_j + weight_i * resolved_i
-            for key, value in zip(keys, values.tolist()):
-                memo[key] = value
-            child_values = values if values.size else np.zeros(1)
+        # The memo entries of the thresholds this layer touches, tagged
+        # like the queries (calculator-major, so still sorted).
+        memo_tags = []
+        memo_values = []
+        for index in np.bincount(calc, minlength=num_calcs).nonzero()[0].tolist():
+            stored = calculators[index]._layers.get(layer)
+            if stored is not None:
+                memo_tags.append(stored[0].astype(tag_dtype) + index * span)
+                memo_values.append(stored[1])
+        if memo_tags:
+            lookup_tags = np.concatenate(memo_tags)
+            lookup_values = np.concatenate(memo_values)
+        else:
+            lookup_tags = np.zeros(0, dtype=tag_dtype)
+            lookup_values = np.zeros(0)
+        # Each query's value comes from concat(memo hits, new nodes).
+        found = _locate(lookup_tags, tags)
+        hit = (found >= 0).nonzero()[0]
+        missing = (found < 0).nonzero()[0]
+        hit_values = lookup_values[found[hit]]
+        _, first, inverse = np.unique(
+            tags[missing], return_index=True, return_inverse=True
+        )
+        source = np.full(tags.size, -1, dtype=np.int64)
+        source[hit] = np.arange(hit.size)
+        source[missing] = hit.size + inverse.reshape(-1)
+        node_pick = missing[first]
+        node_rows = rows[node_pick]
+        node_calc = calc[node_pick]
+        node_keys = keys[node_pick]
 
-    def _value(self, key: Tuple[int, ...]) -> float:
-        """Memoized evaluation with an explicit stack (no recursion limit)."""
-        memo = self._memo
-        if key not in memo:
-            self._evaluate([key])
-        return memo[key]
+        # Base cases and (i, j) choices exactly as the scalar recursion
+        # makes them: the first positive group above / at-most r.
+        positive = node_rows > 0
+        node_greater = greater[node_calc]
+        above = positive & node_greater
+        below = positive & ~node_greater
+        has_above = above.any(axis=1)
+        base = np.where(has_above, 0.0, 1.0)
+        recursing = (has_above & below.any(axis=1)).nonzero()[0]
+        i_sel = j_sel = empty_index
+        if recursing.size:
+            i_sel = np.argmax(above[recursing], axis=1)
+            j_sel = np.argmax(below[recursing], axis=1)
+        plan.append(
+            (
+                layer,
+                node_calc,
+                node_keys,
+                base,
+                recursing,
+                i_sel,
+                j_sel,
+                hit_values,
+                source,
+                roots,
+                child_rows.shape[0],
+            )
+        )
+        if recursing.size:
+            parents = node_rows[recursing]
+            arange = np.arange(recursing.size)
+            without_j = parents.copy()
+            without_j[arange, j_sel] -= 1
+            without_i = parents
+            without_i[arange, i_sel] -= 1
+            child_rows = np.concatenate((without_j, without_i))
+            child_calc = np.concatenate((node_calc[recursing], node_calc[recursing]))
+            child_keys = _encode(child_rows, layer, (layer**fields) >= _INT64_LIMIT)
+            layer -= 1
+        elif roots_by_layer:
+            child_rows, child_calc, child_keys = empty_rows, empty_index, empty_index
+            layer = max(roots_by_layer)
+        else:
+            break
 
-    def _evaluate(self, roots) -> None:
-        """Evaluate all ``roots`` through one shared stack traversal."""
-        memo = self._memo
-        stack = list(roots)
-        while stack:
-            current = stack[-1]
-            if current in memo:
-                stack.pop()
-                continue
-            self.evaluations += 1
-            base, children = self._split(current)
-            if children is None:
-                memo[current] = base
-                stack.pop()
-                continue
-            child_j, weight_j, child_i, weight_i = children
-            missing = [child for child in (child_j, child_i) if child not in memo]
-            if missing:
-                # Re-visit once the children are available; do not count
-                # the revisit as a fresh evaluation.
-                self.evaluations -= 1
-                stack.extend(missing)
-                continue
-            memo[current] = weight_j * memo[child_j] + weight_i * memo[child_i]
-            stack.pop()
+    new_nodes = 0
+    child_values = np.zeros(0)
+    for (
+        layer,
+        node_calc,
+        node_keys,
+        values,
+        recursing,
+        i_sel,
+        j_sel,
+        hit_values,
+        source,
+        roots,
+        from_above,
+    ) in reversed(plan):
+        if recursing.size:
+            half = recursing.size
+            at = node_calc[recursing]
+            values[recursing] = (
+                weight_j[at, i_sel, j_sel] * child_values[:half]
+                + weight_i[at, i_sel, j_sel] * child_values[half:]
+            )
+        resolved = _gather(np.concatenate((hit_values, values)), source)
+        values_out[roots] = resolved[from_above:]
+        child_values = resolved[:from_above]
+        if node_calc.size:
+            cuts = (node_calc[1:] != node_calc[:-1]).nonzero()[0] + 1
+            bounds = [0] + cuts.tolist() + [node_calc.size]
+            for start, end in zip(bounds[:-1], bounds[1:]):
+                calculator = calculators[int(node_calc[start])]
+                calculator._insert(layer, node_keys[start:end], values[start:end])
+                calculator.evaluations += end - start
+            new_nodes += int(node_calc.size)
+    return values_out, new_nodes
 
 
 def omega(coefficients: Sequence[float], counts: Sequence[int], threshold: float) -> float:

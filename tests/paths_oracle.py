@@ -17,6 +17,7 @@ from repro.check.paths_engine import (
     PathEngineResult,
     _combine_with_omega,
 )
+from repro.numerics.orderstat import OmegaRegistry
 
 
 def dfs_result(context: PathEngineContext, initial_state: int) -> PathEngineResult:
@@ -41,7 +42,7 @@ def dfs_result(context: PathEngineContext, initial_state: int) -> PathEngineResu
         context.impulse_levels,
         context.time_bound,
         context.reward_bound,
-        calculators={},
+        OmegaRegistry.for_reward_levels(context.reward_levels),
     )
     return PathEngineResult(
         probability=probability,

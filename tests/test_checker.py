@@ -151,6 +151,21 @@ class TestCaching:
         assert first.solver_residual > 0.0
         assert checker.check("S(>0.1) busy").report.error_budget == first
 
+    def test_second_checker_on_a_shared_cache_keeps_the_solver_residual(
+        self, wavelan
+    ):
+        from repro.check.engine_cache import EngineCache
+
+        cache = EngineCache()
+        residuals = [
+            ModelChecker(wavelan, engine_cache=cache)
+            .check("S(>0.1) busy")
+            .report.error_budget.solver_residual
+            for _ in range(2)
+        ]
+        assert residuals[0] > 0.0
+        assert residuals[1] == residuals[0]
+
 
 class TestPathProbabilities:
     def test_until_string(self, checker):

@@ -1,5 +1,8 @@
 """Tests for the cross-formula engine cache and model fingerprints."""
 
+import gc
+
+import numpy as np
 import pytest
 
 from repro.check.checker import CheckOptions, ModelChecker
@@ -7,6 +10,7 @@ from repro.check.engine_cache import EngineCache, default_engine_cache
 from repro.ctmc.chain import CTMC
 from repro.mrm.model import MRM
 from repro.models import build_tmr
+from repro.numerics.orderstat import OmegaCalculator, OmegaRegistry
 
 
 def two_state(lam=1.0, mu=2.0, rewards=(3.0, 1.0), impulse=0.5):
@@ -58,7 +62,22 @@ class TestEngineCache:
         first = cache.calculators_for([2.0, 1.0, 0.0])
         second = cache.calculators_for((2.0, 1.0, 0.0))
         assert first is second
+        assert isinstance(first, OmegaRegistry)
         assert cache.calculators_for([2.0, 1.0]) is not first
+
+    def test_registry_memos_live_in_the_registry(self):
+        # Memos are owned by the registry object, not looked up by its
+        # id(): a registry built after another was freed (and its id
+        # possibly reused) starts empty and answers for itself.
+        expected = OmegaCalculator([2.0, 0.0], 1.0).value_many([[3, 4]])
+        for _ in range(3):
+            cache = EngineCache()
+            registry = cache.calculators_for([2.0, 0.0])
+            values, evaluated = registry.evaluate([[3, 4]], [1.0])
+            assert evaluated > 0
+            assert np.array_equal(values, expected)
+            del cache, registry
+            gc.collect()
 
     def test_default_cache_is_process_wide(self):
         assert default_engine_cache() is default_engine_cache()

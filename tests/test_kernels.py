@@ -2,12 +2,11 @@
 
 The compiled kernels (:mod:`repro.kernels`) must reproduce the NumPy
 reference paths *bitwise* — not approximately.  These tests compare
-raw float equality between backends at three levels: the standalone
-kernels against hand-built lexsort references, ``value_many`` against
-the tuple-keyed memo recursion, and whole engine runs end to end.  On
-machines without numba the ``"python"`` backend (the same loops,
-un-jitted) exercises every dispatch path; when numba is importable the
-jitted set is tested as well.
+raw float equality between backends at two levels: the standalone
+kernels against hand-built lexsort references, and whole engine runs
+end to end.  On machines without numba the ``"python"`` backend (the
+same loops, un-jitted) exercises every dispatch path; when numba is
+importable the jitted set is tested as well.
 """
 
 import sys
@@ -21,9 +20,7 @@ from repro.check.checker import CheckOptions, ModelChecker
 from repro.check.paths_engine import joint_distribution_all
 from repro.ctmc.chain import CTMC
 from repro.exceptions import CheckError
-from repro.kernels import _impl
 from repro.mrm.model import MRM
-from repro.numerics.orderstat import OmegaCalculator
 from repro.obs import Collector, use_collector
 
 #: Non-default backends whose kernel sets can be built here.
@@ -161,50 +158,6 @@ class TestStandaloneKernels:
             np.testing.assert_array_equal(
                 np.add.reduceat(sorted_mass, group_starts), ref_merged
             )
-
-
-class TestOmegaKernel:
-    @given(seed=st.integers(0, 100_000))
-    @settings(max_examples=40, deadline=None)
-    def test_value_many_matches_numpy_bitwise(self, seed):
-        rng = np.random.default_rng(seed)
-        num_groups = int(rng.integers(1, _impl.OMEGA_MAX_GROUPS + 1))
-        coefficients = (
-            rng.choice(np.arange(1, 60), size=num_groups, replace=False) / 4.0
-        )
-        threshold = float(rng.uniform(0.0, 16.0))
-        rows = int(rng.integers(1, 25))
-        counts = rng.integers(0, 9, size=(rows, num_groups))
-
-        reference = OmegaCalculator(coefficients, threshold).value_many(counts)
-        for backend in BACKENDS:
-            calculator = OmegaCalculator(coefficients, threshold)
-            values = calculator.value_many(counts, backend=backend)
-            np.testing.assert_array_equal(values, reference)
-            # Memo reuse across calls, and mixing backends on one
-            # calculator, both reproduce the same values.
-            np.testing.assert_array_equal(
-                calculator.value_many(counts, backend=backend), reference
-            )
-            np.testing.assert_array_equal(
-                calculator.value_many(counts), reference
-            )
-            for row, expected in zip(counts[:5], reference[:5]):
-                assert calculator.value(row) == expected
-
-    def test_overflowing_counts_fall_back_to_numpy(self):
-        calculator = OmegaCalculator([1.0, 3.0], 2.0)
-        counts = np.array([[kernels.OMEGA_MAX_COUNT + 1, 0]])
-        reference = OmegaCalculator([1.0, 3.0], 2.0).value_many(counts)
-        values = calculator.value_many(counts, backend="python")
-        np.testing.assert_array_equal(values, reference)
-
-    def test_non_2d_counts_error_includes_shape(self):
-        from repro.exceptions import NumericalError
-
-        calculator = OmegaCalculator([1.0, 3.0], 2.0)
-        with pytest.raises(NumericalError, match=r"\(3,\)"):
-            calculator.value_many(np.array([1, 0, 2]))
 
 
 class TestEngineEquivalence:

@@ -1,6 +1,9 @@
 """Tests for the Omega recursion (Algorithm 4.8) and the conditional
 reward probability of eqs. (4.7)-(4.10)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +12,14 @@ from scipy.special import betainc
 from repro.exceptions import NumericalError
 from repro.numerics.orderstat import (
     OmegaCalculator,
+    OmegaRegistry,
+    _gather,
+    _locate,
     conditional_reward_probability,
     omega,
 )
+
+from tests.omega_oracle import ScalarOmega
 
 
 class TestBaseCases:
@@ -165,12 +173,12 @@ class TestValueMany:
             ),
             dtype=np.int64,
         )
-        scalar = OmegaCalculator(coeffs, threshold)
+        scalar = ScalarOmega(coeffs, threshold)
         batched = OmegaCalculator(coeffs, threshold)
         expected = np.array([scalar.value(row) for row in matrix])
         actual = batched.value_many(matrix)
-        # The generation-synchronous batch sweep performs the identical
-        # arithmetic per node, so agreement is exact, not approximate.
+        # The layered pass performs the identical arithmetic per node,
+        # so agreement is exact, not approximate.
         assert np.array_equal(expected, actual)
         assert scalar.evaluations == batched.evaluations
 
@@ -265,3 +273,188 @@ class TestMonotonicityProperties:
         base = omega(coefficients, [1, 3], threshold=1.0)
         harder = omega(coefficients, [1 + extra, 3], threshold=1.0)
         assert harder <= base + 1e-12
+
+
+def _oracle_values(oracles, coefficients, counts, thresholds):
+    """The scalar oracle's values, one memo per threshold as the pass has."""
+    values = []
+    for row, threshold in zip(counts, thresholds):
+        oracle = oracles.setdefault(threshold, ScalarOmega(coefficients, threshold))
+        values.append(oracle.value(row))
+    return np.array(values, dtype=float)
+
+
+def _oracle_evaluations(oracles):
+    return sum(oracle.evaluations for oracle in oracles.values())
+
+
+@st.composite
+def _registry_calls(draw, max_count=9, max_groups=5):
+    """Coefficients, thresholds and a few (counts, thresholds) calls."""
+    size = draw(st.integers(1, max_groups))
+    coefficients = draw(
+        st.lists(
+            st.integers(0, 40).map(lambda c: c / 4.0),
+            min_size=size,
+            max_size=size,
+            unique=True,
+        )
+    )
+    levels = draw(
+        st.lists(st.floats(-1.0, 11.0, allow_nan=False), min_size=1, max_size=4)
+    )
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 10))
+        counts = draw(
+            st.lists(
+                st.lists(st.integers(0, max_count), min_size=size, max_size=size),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        picks = draw(
+            st.lists(
+                st.sampled_from(levels), min_size=rows, max_size=rows
+            )
+        )
+        calls.append((counts, picks))
+    return coefficients, calls
+
+
+class TestLayeredPassAgainstOracle:
+    """The layered pass against the scalar recursion of ``omega_oracle``:
+    the same bits and the same number of evaluated nodes."""
+
+    @given(case=_registry_calls())
+    @settings(max_examples=60, deadline=None)
+    def test_several_thresholds_and_a_growing_memo(self, case):
+        coefficients, calls = case
+        registry = OmegaRegistry(coefficients)
+        oracles = {}
+        for counts, thresholds in calls:
+            before = _oracle_evaluations(oracles)
+            expected = _oracle_values(oracles, coefficients, counts, thresholds)
+            values, evaluated = registry.evaluate(counts, thresholds)
+            assert np.array_equal(values, expected)
+            assert evaluated == _oracle_evaluations(oracles) - before
+        assert registry.evaluations == _oracle_evaluations(oracles)
+        assert len(registry._calculators) == len(oracles)
+
+    @given(case=_registry_calls(max_count=3, max_groups=4))
+    @settings(max_examples=30, deadline=None)
+    def test_value_many_is_the_one_threshold_pass(self, case):
+        coefficients, calls = case
+        threshold = calls[0][1][0]
+        calculator = OmegaCalculator(coefficients, threshold)
+        oracle = ScalarOmega(coefficients, threshold)
+        for counts, _ in calls:
+            expected = np.array([oracle.value(row) for row in counts])
+            assert np.array_equal(calculator.value_many(counts), expected)
+            assert calculator.evaluations == oracle.evaluations
+
+    @pytest.mark.parametrize(
+        "counts", [[3000, 2], [2, 3000], [300, 300], [1, 2999]]
+    )
+    def test_deep_chains(self, counts):
+        registry = OmegaRegistry([2.0, 0.0])
+        thresholds = [1.0, 0.5]
+        oracles = {}
+        expected = _oracle_values(oracles, [2.0, 0.0], [counts] * 2, thresholds)
+        values, evaluated = registry.evaluate([counts] * 2, thresholds)
+        assert np.array_equal(values, expected)
+        assert evaluated == _oracle_evaluations(oracles)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_counts_too_wide_for_int64_keys(self, data):
+        # Twelve groups and a row sum of ~70: (n + 1) ** 11 exceeds
+        # 2**63, so the keys of the upper layers are Python ints.
+        coefficients = [float(c) for c in range(12, 0, -1)]
+        width = len(coefficients)
+        counts = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            row = [0] * width
+            row[0] = data.draw(st.integers(30, 45))
+            row[-1] = data.draw(st.integers(30, 45))
+            for position in data.draw(
+                st.lists(st.integers(1, width - 2), max_size=2)
+            ):
+                row[position] += 1
+            counts.append(row)
+        thresholds = data.draw(
+            st.lists(
+                st.sampled_from([1.5, 4.0, 6.25, 11.0]),
+                min_size=len(counts),
+                max_size=len(counts),
+            )
+        )
+        registry = OmegaRegistry(coefficients)
+        oracles = {}
+        expected = _oracle_values(oracles, coefficients, counts, thresholds)
+        values, evaluated = registry.evaluate(counts, thresholds)
+        assert np.array_equal(values, expected)
+        assert evaluated == _oracle_evaluations(oracles)
+        top = max(sum(row) for row in counts)
+        assert (top + 1) ** (width - 1) >= 2**63
+        wide = registry._calculators[float(thresholds[0])]._layers
+        assert any(keys.dtype == object for keys, _ in wide.values())
+
+    def test_absent_child_raises_instead_of_reading_minus_one(self):
+        keys = np.array([3, 8, 20], dtype=np.int64)
+        values = np.array([0.25, 0.5, 0.75])
+        positions = _locate(keys, np.array([8, 9, 20], dtype=np.int64))
+        assert positions.tolist() == [1, -1, 2]
+        with pytest.raises(NumericalError, match="missing from the memo"):
+            _gather(values, positions)
+        assert _gather(values, positions[[0, 2]]).tolist() == [0.5, 0.75]
+
+    def test_threshold_count_must_match_rows(self):
+        with pytest.raises(NumericalError, match="thresholds"):
+            OmegaRegistry([2.0, 0.0]).evaluate([[1, 1], [2, 2]], [1.0])
+
+    def test_threads_sharing_a_registry_agree_with_the_oracle(self):
+        coefficients = [5.0, 3.0, 1.5, 0.0]
+        thresholds = [0.75, 2.0, 3.5]
+        rng = np.random.default_rng(2024)
+        # Overlapping roots: every thread draws from one pool of rows.
+        pool = rng.integers(0, 12, size=(60, len(coefficients)))
+        jobs = []
+        for _ in range(4):
+            picks = rng.integers(0, len(pool), size=(6, 25))
+            levels = rng.choice(thresholds, size=(6, 25))
+            jobs.append([(pool[p], lv) for p, lv in zip(picks, levels)])
+        oracles = {}
+        expected = [
+            [_oracle_values(oracles, coefficients, rows, lv) for rows, lv in job]
+            for job in jobs
+        ]
+        registry = OmegaRegistry(coefficients)
+        barrier = threading.Barrier(len(jobs))
+        results = [None] * len(jobs)
+        errors = []
+
+        def work(slot):
+            try:
+                barrier.wait()
+                results[slot] = [registry.evaluate(rows, lv)[0] for rows, lv in jobs[slot]]
+            except BaseException as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-pass
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for got, want in zip(results, expected):
+            for values, reference in zip(got, want):
+                assert np.array_equal(values, reference)
+        # No node was evaluated twice: no memo update was lost.
+        assert registry.evaluations == _oracle_evaluations(oracles)

@@ -318,6 +318,24 @@ class TestCheckerTrace:
         (conj,) = spans_named(trace, "sat.and")
         assert all(a["parent_id"] == conj["span_id"] for a in atoms)
 
+    @pytest.mark.parametrize("strategy", ["paths", "merged", "merged-legacy"])
+    def test_frontier_and_omega_spans_per_state(self, tmr3, strategy):
+        checker = ModelChecker(
+            tmr3, CheckOptions(path_strategy=strategy), engine_cache=EngineCache()
+        )
+        report = checker.check("P(>0.5) [Sup U[0,100][0,3000] failed]").report
+        spans = span_index(report.trace)
+        (search,) = spans_named(report.trace, "until.search")
+        pending = search["attributes"]["pending"]
+        for name in ("until.frontier", "until.omega"):
+            found = spans_named(report.trace, name)
+            assert len(found) == pending
+            assert all(spans[s["parent_id"]]["name"] == "until.search" for s in found)
+            assert sorted(s["attributes"]["state"] for s in found) == sorted(
+                s["attributes"]["state"] for s in spans_named(report.trace, "until.frontier")
+            )
+        assert report.phase("until.omega") is not None
+
     def test_residual_series_recorded_for_unbounded_until(self, tmr3):
         checker = ModelChecker(tmr3, engine_cache=EngineCache())
         report = checker.check("P(>=0.5) [Sup U failed]").report
