@@ -1,4 +1,4 @@
-"""Batched all-states until vs. the per-state loop, and engine shoot-outs.
+"""Batched all-states until vs. the per-state loop, and the parallel fan-out.
 
 The batched entry point (:func:`repro.check.until.until_probabilities`)
 answers ``P(s, Phi U^I_J Psi)`` for every pending state from one shared
@@ -7,23 +7,11 @@ precomputation: the discretization engine runs a single adjoint
 and the uniformization engine reuses one prepared context (uniformized
 process, Poisson tables, Omega memos) across all starts.
 
-Four benchmarks:
+Two benchmarks:
 
 * ``test_batched_until`` — both engines agree with the per-state loop
   to 1e-10 and the batched discretization sweep is at least 3x faster
   on a multi-state formula (TMR with five pending ``Sup`` states).
-* ``test_columnar_vs_legacy`` — the vectorized columnar merged engine
-  (``strategy="merged"``) against the dict-frontier dynamic program it
-  replaced (``"merged-legacy"``) on TMR-9; asserts a >= 3x speedup on
-  the frontier-dominated workload.
-* ``test_kernel_backends`` — the compiled kernel backends
-  (``repro.kernels``) against the NumPy reference path, timing the
-  frontier merge kernel and the (NumPy-only) Omega pass *separately*
-  (synthetic microbenchmarks at engine scale) as well as end to end on
-  the two TMR-9 workloads; lands under the ``kernels`` key of
-  ``BENCH_2.json`` so the speedup claim is attributable to a specific
-  loop.  All backends must agree bitwise.  Only numpy/numba are timed —
-  the ``"python"`` backend is a test shim, orders of magnitude slower.
 * ``test_parallel_fanout`` — ``workers=4`` fan-out through the
   persistent shared-memory pool (warmed before timing) against the
   serial loop; results must be bitwise identical.  Parallel timings are
@@ -140,306 +128,6 @@ def _engine_sweep(model, states, reward_bound, strategy):
     elapsed = time.perf_counter() - start
     paths = sum(r.paths_generated for r in results.values())
     return results, elapsed, paths
-
-
-def test_columnar_vs_legacy(benchmark):
-    """Vectorized columnar merged engine vs. the PR-1 dict frontier.
-
-    Two TMR-9 workloads: a frontier-dominated one (reward bound below
-    every reachable accumulation, so Omega never fires and the sweep
-    cost is pure frontier algebra) and an Omega-heavy one (positive
-    thresholds, nonzero probabilities).  The columnar engine must agree
-    with the legacy dynamic program to 1e-12 on probabilities and error
-    bounds and match its path/class counts exactly; the >= 3x
-    acceptance bar is asserted on the frontier-dominated workload,
-    where the frontier rebuild is the whole story.
-    """
-    tmr = build_tmr(9)
-    states = list(range(7, 11)) if BENCH_QUICK else list(range(4, 11))
-    workloads = [("frontier rb=3000", 3000.0)]
-    if not BENCH_QUICK:
-        workloads.append(("omega rb=5000", 5000.0))
-
-    rows = []
-
-    def run():
-        measured = {}
-        for label, reward_bound in workloads:
-            legacy, legacy_time, legacy_paths = _engine_sweep(
-                tmr, states, reward_bound, "merged-legacy"
-            )
-            columnar, columnar_time, columnar_paths = _engine_sweep(
-                tmr, states, reward_bound, "merged"
-            )
-            assert columnar_paths == legacy_paths
-            for state in states:
-                assert (
-                    abs(legacy[state].probability - columnar[state].probability)
-                    <= 1e-12
-                )
-                assert (
-                    abs(legacy[state].error_bound - columnar[state].error_bound)
-                    <= 1e-12
-                )
-                assert legacy[state].classes == columnar[state].classes
-                assert legacy[state].max_depth == columnar[state].max_depth
-            measured[label] = (legacy_time, columnar_time, columnar_paths)
-            rows.append(
-                (
-                    label,
-                    len(states),
-                    f"{legacy_time:.3f}",
-                    f"{columnar_time:.3f}",
-                    f"{legacy_time / columnar_time:.1f}x",
-                    f"{columnar_paths / columnar_time:,.0f}",
-                )
-            )
-        return measured
-
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Columnar merged engine vs legacy dict frontier (TMR-9)",
-        ["workload", "starts", "legacy s", "columnar s", "speedup", "paths/s"],
-        rows,
-    )
-    update_bench_json(
-        "columnar_vs_legacy",
-        {
-            "model": "tmr-9",
-            "initial_states": states,
-            "quick": BENCH_QUICK,
-            "workloads": {
-                label: {
-                    "legacy_seconds": legacy_time,
-                    "columnar_seconds": columnar_time,
-                    "speedup": legacy_time / columnar_time,
-                    "paths_per_sec_legacy": paths / legacy_time,
-                    "paths_per_sec_columnar": paths / columnar_time,
-                }
-                for label, (legacy_time, columnar_time, paths) in measured.items()
-            },
-        },
-        path=BENCH_2_JSON,
-    )
-    legacy_time, columnar_time, _ = measured["frontier rb=3000"]
-    assert legacy_time >= 3.0 * columnar_time
-
-
-def _random_frontier(rng, frontier, num_states, mean_degree):
-    """A synthetic CSR model + frontier at engine scale for the merge micro."""
-    degrees = rng.integers(1, 2 * mean_degree, size=num_states)
-    indptr = np.zeros(num_states + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(degrees)
-    num_edges = int(indptr[-1])
-    num_moves = 6
-    arrays = dict(
-        indptr=indptr,
-        targets=rng.integers(0, num_states, size=num_edges).astype(np.int64),
-        probs=rng.random(num_edges),
-        moves=rng.integers(0, num_moves, size=num_edges).astype(np.int64),
-        move_lo=rng.integers(0, 1 << 20, size=num_moves).astype(np.int64),
-        move_hi=np.zeros(num_moves, dtype=np.int64),
-        states=rng.integers(0, num_states, size=frontier).astype(np.int64),
-        class_lo=rng.integers(0, 1 << 40, size=frontier).astype(np.int64),
-        class_hi=np.zeros(frontier, dtype=np.int64),
-        mass=rng.random(frontier),
-    )
-    arrays["total"] = int(degrees[arrays["states"]].sum())
-    return arrays
-
-
-def _merge_numpy(a):
-    """The engine's NumPy reference block over a synthetic frontier."""
-    degrees = a["indptr"][1:] - a["indptr"][:-1]
-    reps = degrees[a["states"]]
-    parents = np.repeat(np.arange(a["states"].shape[0]), reps)
-    edges = np.concatenate(
-        [np.arange(a["indptr"][s], a["indptr"][s + 1]) for s in a["states"]]
-    ).astype(np.int64)
-    child_states = a["targets"][edges]
-    child_lo = a["class_lo"][parents] + a["move_lo"][a["moves"][edges]]
-    child_hi = a["class_hi"][parents] + a["move_hi"][a["moves"][edges]]
-    child_mass = a["mass"][parents] * a["probs"][edges]
-    order = np.lexsort((child_states, child_lo, child_hi))
-    s_states = child_states[order]
-    s_lo = child_lo[order]
-    s_hi = child_hi[order]
-    s_mass = child_mass[order]
-    boundary = np.empty(a["total"], dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (
-        (s_states[1:] != s_states[:-1])
-        | (s_lo[1:] != s_lo[:-1])
-        | (s_hi[1:] != s_hi[:-1])
-    )
-    starts = np.flatnonzero(boundary)
-    return (
-        s_states[starts],
-        s_lo[starts],
-        s_hi[starts],
-        np.add.reduceat(s_mass, starts),
-    )
-
-
-def _merge_kernel(kernel, a):
-    group_states, group_lo, group_hi, sorted_mass, group_starts = kernel.expand_merge(
-        a["states"], a["class_lo"], a["class_hi"], a["mass"], a["indptr"],
-        a["targets"], a["probs"], a["moves"], a["move_lo"], a["move_hi"], a["total"],
-    )
-    return group_states, group_lo, group_hi, np.add.reduceat(sorted_mass, group_starts)
-
-
-def test_kernel_backends(benchmark):
-    """Compiled kernel backends vs. the NumPy reference, attributably.
-
-    Measurements, all asserted bitwise identical to the NumPy path: a
-    frontier-merge microbenchmark per backend on a synthetic CSR
-    frontier at engine scale, an Omega-pass microbenchmark
-    (``value_many`` on a fresh calculator per run, so the memo build is
-    part of the measurement; Omega has no compiled kernel, so NumPy
-    only), and the two end-to-end TMR-9 workloads of
-    ``test_columnar_vs_legacy`` run with ``kernels=<backend>``.  When
-    numba is installed (full mode), the frontier-dominated workload
-    must not regress under the numba merge kernel.
-    """
-    from repro import kernels as kernels_mod
-    from repro.numerics.orderstat import OmegaCalculator
-
-    numba_ok = kernels_mod.numba_available()
-    backends = ["numpy"] + (["numba"] if numba_ok else [])
-    compile_seconds = 0.0
-    if numba_ok:
-        # Compile + warm outside every timed region.
-        compile_seconds = kernels_mod.kernel_set("numba").compile_seconds
-
-    rng = np.random.default_rng(7)
-    merge_rows = 20_000 if BENCH_QUICK else 400_000
-    frontier = _random_frontier(rng, merge_rows, num_states=64, mean_degree=4)
-    omega_rows = 5_000 if BENCH_QUICK else 120_000
-    coefficients = [0.0, 1.0, 2.0, 3.0, 5.0]
-    threshold = 6.5
-    counts = rng.integers(0, 25, size=(omega_rows, len(coefficients)))
-
-    tmr = build_tmr(9)
-    states = list(range(7, 11)) if BENCH_QUICK else list(range(4, 11))
-    workloads = [("frontier rb=3000", 3000.0)]
-    if not BENCH_QUICK:
-        workloads.append(("omega rb=5000", 5000.0))
-
-    def best_of(callable_, repeats=3):
-        elapsed = []
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = callable_()
-            elapsed.append(time.perf_counter() - start)
-        return result, min(elapsed)
-
-    rows = []
-
-    def run():
-        measured = {"merge": {}, "omega": {}, "workloads": {}}
-        merge_reference, merge_numpy_s = best_of(lambda: _merge_numpy(frontier))
-        measured["merge"]["numpy"] = merge_numpy_s
-        _, omega_numpy_s = best_of(
-            lambda: OmegaCalculator(coefficients, threshold).value_many(counts)
-        )
-        measured["omega"]["numpy"] = omega_numpy_s
-        if numba_ok:
-            kernel = kernels_mod.kernel_set("numba")
-            merged, merge_numba_s = best_of(lambda: _merge_kernel(kernel, frontier))
-            for ours, ref in zip(merged, merge_reference):
-                assert np.array_equal(ours, ref)
-            measured["merge"]["numba"] = merge_numba_s
-        for kind, sizes in (("merge", merge_rows), ("omega", omega_rows)):
-            for backend, seconds in measured[kind].items():
-                rows.append(
-                    (
-                        f"{kind} micro",
-                        backend,
-                        f"{seconds:.4f}",
-                        f"{measured[kind]['numpy'] / seconds:.1f}x",
-                        f"{sizes / seconds:,.0f}",
-                    )
-                )
-        for label, reward_bound in workloads:
-            per_backend = {}
-            reference = None
-            for backend in backends:
-                start = time.perf_counter()
-                results = joint_distribution_all(
-                    tmr,
-                    states,
-                    psi_states=frozenset(range(tmr.num_states)),
-                    time_bound=600.0,
-                    reward_bound=reward_bound,
-                    truncation_probability=1e-9,
-                    strategy="merged",
-                    truncation="safe",
-                    kernels=backend,
-                )
-                elapsed = time.perf_counter() - start
-                if reference is None:
-                    reference = results
-                else:
-                    for state in states:
-                        assert results[state].probability == reference[state].probability
-                        assert results[state].error_bound == reference[state].error_bound
-                        assert (
-                            results[state].paths_generated
-                            == reference[state].paths_generated
-                        )
-                paths = sum(r.paths_generated for r in results.values())
-                per_backend[backend] = (elapsed, paths)
-                rows.append(
-                    (
-                        label,
-                        backend,
-                        f"{elapsed:.3f}",
-                        f"{per_backend['numpy'][0] / elapsed:.1f}x",
-                        f"{paths / elapsed:,.0f}",
-                    )
-                )
-            measured["workloads"][label] = per_backend
-        return measured
-
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Kernel backends vs NumPy reference"
-        + ("" if numba_ok else " (numba not installed: numpy only)"),
-        ["workload", "backend", "seconds", "vs numpy", "items/s"],
-        rows,
-    )
-    update_bench_json(
-        "kernels",
-        {
-            "numba_available": numba_ok,
-            "compile_seconds": compile_seconds,
-            "quick": BENCH_QUICK,
-            "merge_micro": {
-                "rows": merge_rows,
-                "seconds": measured["merge"],
-            },
-            "omega_micro": {
-                "rows": omega_rows,
-                "seconds": measured["omega"],
-            },
-            "workloads": {
-                label: {
-                    backend: {
-                        "seconds": elapsed,
-                        "paths_per_sec": paths / elapsed,
-                    }
-                    for backend, (elapsed, paths) in per_backend.items()
-                }
-                for label, per_backend in measured["workloads"].items()
-            },
-        },
-        path=BENCH_2_JSON,
-    )
-    if numba_ok and not BENCH_QUICK:
-        merge = measured["workloads"]["frontier rb=3000"]
-        assert merge["numba"][0] <= 1.1 * merge["numpy"][0]
 
 
 def test_parallel_fanout(benchmark):

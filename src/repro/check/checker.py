@@ -71,10 +71,9 @@ from repro.obs.report import (
 __all__ = ["CheckOptions", "ModelChecker"]
 
 _UNTIL_ENGINES = ("uniformization", "discretization")
-_PATH_STRATEGIES = ("paths", "merged", "merged-legacy")
+_PATH_STRATEGIES = ("paths", "merged")
 _TRUNCATION_MODES = ("safe", "paper")
 _LINEAR_SOLVERS = ("gauss-seidel", "jacobi", "sor", "direct")
-_KERNEL_BACKENDS = ("auto", "numpy", "numba", "python")
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,11 @@ class CheckOptions:
     discretization_step:
         The step ``d`` of the discretization engine.
     path_strategy:
-        ``"paths"`` (the paper's Algorithm 4.7, per-path truncation) or
-        ``"merged"``
-        (class-aggregated dynamic programming; prunes less at equal
-        ``w``).
+        ``"paths"`` (the paper's Algorithm 4.7, per-path truncation,
+        swept in bounded deepest-first blocks) or ``"merged"`` (the same
+        sweep one whole depth at a time, summing paths with equal state
+        and ``(k, j)`` class before the truncation test; prunes less at
+        equal ``w``).
     truncation_mode:
         ``"safe"`` (default; prunes on a sound upper bound over all
         extensions of a path) or ``"paper"`` (Algorithm 4.7's literal
@@ -104,14 +104,6 @@ class CheckOptions:
     linear_solver:
         Solver for steady-state/unbounded-until linear systems
         (``"gauss-seidel"``, ``"jacobi"``, ``"sor"``, ``"direct"``).
-    kernels:
-        Compiled-kernel backend for the path engine's hot loops
-        (``"auto"``, ``"numpy"``, ``"numba"``, ``"python"``).  The
-        default ``"auto"`` uses the numba-jitted frontier merge of the
-        ``merged`` sweep when the optional ``repro[speed]`` extra is
-        installed and falls back to the NumPy reference path (with a
-        ``kernels.fallback`` event) otherwise.  All backends are
-        bitwise identical — see :mod:`repro.kernels`.
     workers:
         Number of worker processes for the uniformization engine's
         per-initial-state fan-out (``0``/``1`` = serial; clamped to the
@@ -157,7 +149,6 @@ class CheckOptions:
     path_strategy: str = "paths"
     truncation_mode: str = "safe"
     linear_solver: str = "gauss-seidel"
-    kernels: str = "auto"
     workers: int = 0
     observe: bool = True
     deadline_s: Optional[float] = None
@@ -185,11 +176,6 @@ class CheckOptions:
             raise CheckError(
                 f"unknown linear solver {self.linear_solver!r} "
                 f"(expected one of {_LINEAR_SOLVERS})"
-            )
-        if self.kernels not in _KERNEL_BACKENDS:
-            raise CheckError(
-                f"unknown kernel backend {self.kernels!r} "
-                f"(expected one of {_KERNEL_BACKENDS})"
             )
         if not isinstance(self.workers, int) or self.workers < 0:
             raise CheckError(
@@ -598,7 +584,6 @@ class ModelChecker:
                         solver=opts.linear_solver,
                         workers=opts.workers,
                         cache=self._engine_cache,
-                        kernels=opts.kernels,
                     )
                 if span is not None:
                     span.attributes["engine"] = result.engine

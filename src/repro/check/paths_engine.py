@@ -37,44 +37,38 @@ against a single shared context.  Sharing the context turns the
 precomputation plus ``n`` searches, and lets the Omega memoization work
 across initial states (classes recur between starts).
 
-Columnar path sweep
--------------------
-The ``"paths"`` strategy (the default) generates exactly Algorithm
-4.7's path set with exactly its per-path truncation test, but not one
-path at a time: the search tree is swept as columns of *unmerged* rows
-(state, packed ``(k, j)`` class words, DTMC path probability), one row
-per tree node.  A block of rows of one depth expands through the flat
-CSR successor structure in a handful of array operations; every child
-row is tested on its own (``pmf[n] P(sigma)`` in ``"paper"`` mode,
-``maxpois[n] P(sigma)`` in ``"safe"`` mode), so no path survives or
-dies differently from the DFS, and the discarded children feed the
-eq. (4.6) tail exactly as there.  Blocks hold at most
-:data:`PATHS_BLOCK_ROWS` rows and live on a stack that is always
-drained deepest-first, which bounds the working set the way the DFS
-stack does.  Rows ending in a ``Psi``-state are reduced per class within
-their block and merged once at the end.  Only the traversal order (and
-hence floating-point summation order) differs from the per-path DFS,
-which the test suite keeps as the oracle for path counts, values and
-error bounds.
+One frontier sweep
+------------------
+Both strategies run through one columnar sweep,
+:func:`_run_paths_sweep`.  Its rows are search-tree nodes: a state, a
+class key for the node's ``(k, j)`` characterization and the DTMC path
+probability ``P(sigma)``.  Class keys are two bit-packed int64 words
+(:func:`_class_packing`), or a :class:`ClassTable` id when the counts do
+not fit two words; either way a child's key derives from its parent's
+in one array operation.  A popped block of rows of one depth stores its
+``Psi``-rows with weight ``pmf[n] P(sigma)``, expands every row through
+the flat CSR successor structure and tests every child against ``w``
+(``pmf[n] P(sigma)`` in ``"paper"`` mode, ``maxpois[n] P(sigma)`` in
+``"safe"`` mode); a discarded child feeds the eq. (4.6) tail.  The
+stored rows are grouped per class once at the end.
 
-Columnar merged engine
-----------------------
-The ``"merged"`` strategy runs as a vectorized columnar sweep: reward
-characterizations ``(k, j)`` are interned to dense integer ids by a
-:class:`ClassTable` (child classes derive from parent classes in O(1)
-via a memoized ``(parent, move)`` table), the frontier at each depth is
-three parallel NumPy arrays (state, class id, merged DTMC mass), one
-depth step expands every frontier entry through a flat CSR successor
-structure, merges duplicates with a lexsort + ``reduceat`` reduction
-and applies the truncation test as one vectorized comparison.  The
-final Omega combination evaluates every class of a start state, whatever
-its threshold, through one layered pass of
+* ``"paths"`` (the default) is Algorithm 4.7 exactly: every child is
+  tested on its own, so the sweep generates the paper's path set with
+  its per-path truncation.  Surviving children are pushed as blocks of
+  at most :data:`PATHS_BLOCK_ROWS` rows onto a stack that is always
+  drained deepest-first, which bounds the working set the way the DFS
+  stack does.  Only the traversal (and so the summation) order differs
+  from the per-path DFS, which the test suite keeps as the oracle.
+* ``"merged"`` is the dynamic-programming variant: a popped block is a
+  whole depth, children with equal ``(state, class)`` are summed before
+  the truncation test (so it prunes strictly less at equal ``w``), and
+  the next depth is pushed as one block.  The dict-of-tuples recursion
+  it replaced is kept in the test suite as its oracle.
+
+The final Omega combination evaluates every class of a start state,
+whatever its threshold, through one layered pass of
 :meth:`repro.numerics.orderstat.OmegaRegistry.evaluate` and folds each
-threshold's classes into the probability with a dot product.  The
-previous dict-of-tuples implementation remains available as strategy
-``"merged-legacy"`` for ablation and equivalence testing; both compute
-the same aggregation (class ids are in bijection with the ``(k, j)``
-tuples), so they agree to summation-order rounding.
+threshold's classes into the probability with a dot product.
 
 Multiprocess fan-out
 --------------------
@@ -114,7 +108,6 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro import kernels as kernels_mod
 from repro.check.engine_cache import EngineCache
 from repro.exceptions import (
     CheckError,
@@ -137,11 +130,12 @@ __all__ = [
     "joint_distribution_many",
 ]
 
-_STRATEGIES = ("paths", "merged", "merged-legacy")
+_STRATEGIES = ("paths", "merged")
 
 #: Most rows one block of the ``"paths"`` sweep expands at once.  Large
 #: enough to amortize NumPy's per-call overhead, small enough that the
-#: deepest-first block stack stays a bounded working set.
+#: deepest-first block stack stays a bounded working set.  The
+#: ``"merged"`` sweep never splits a depth.
 PATHS_BLOCK_ROWS = 1 << 15
 
 
@@ -387,15 +381,6 @@ class ClassTable:
         """Impulse-count vectors of the given classes (one row each)."""
         return self._j[class_ids]
 
-    def key_of(self, class_id: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """The ``(k, j)`` tuple pair a class id stands for."""
-        if not 0 <= int(class_id) < self._size:
-            raise CheckError(f"class id {class_id} out of range")
-        return (
-            tuple(int(v) for v in self._k[int(class_id)]),
-            tuple(int(v) for v in self._j[int(class_id)]),
-        )
-
 
 @dataclass
 class PathEngineContext:
@@ -407,18 +392,16 @@ class PathEngineContext:
     pmf/head/max tables and the Omega calculators (whose memo tables are
     keyed by threshold and grow monotonically across runs).
 
-    For the columnar ``"paths"`` and ``"merged"`` sweeps the successor
-    structure is additionally flattened to CSR arrays (``succ_indptr[s] ..
+    The successor structure is flat CSR arrays (``succ_indptr[s] ..
     succ_indptr[s + 1]`` index the out-edges of ``s``; dead targets are
     dropped, matching the search's pruning) with per-edge *move* codes,
-    and a :class:`ClassTable` interns the reward classes — both persist
-    across initial states, so classes recurring between starts keep
-    their ids and child derivations.
+    and a :class:`ClassTable` interns the reward classes of models too
+    wide to pack — both persist across initial states, so classes
+    recurring between starts keep their ids and child derivations.
     """
 
     psi: frozenset
     dead: frozenset
-    successors: List[List[Tuple[int, float, int]]]
     state_level: List[int]
     reward_levels: List[float]
     impulse_levels: List[float]
@@ -441,7 +424,6 @@ class PathEngineContext:
     succ_moves: Optional[np.ndarray] = None
     psi_mask: Optional[np.ndarray] = None
     class_table: Optional[ClassTable] = None
-    kernels: str = "numpy"
 
 
 def prepare_path_engine(
@@ -456,7 +438,6 @@ def prepare_path_engine(
     truncation: str = "safe",
     uniformization_rate: Optional[float] = None,
     cache: Optional[EngineCache] = None,
-    kernels: str = "auto",
 ) -> PathEngineContext:
     """Validate the query and build the shared :class:`PathEngineContext`.
 
@@ -464,13 +445,6 @@ def prepare_path_engine(
     state; see there for their meaning.  The model is used as given —
     callers evaluating an until formula must apply
     :meth:`repro.mrm.MRM.make_absorbing` first (Theorems 4.1/4.3).
-
-    ``kernels`` selects the hot-loop backend (see :mod:`repro.kernels`):
-    the name is resolved here — ``"auto"`` becomes ``"numba"`` or
-    ``"numpy"`` — a ``kernels.backend`` obs event records the choice
-    (plus the one-off JIT compile time when this process compiled the
-    set), and the resolved name travels inside the context so every
-    search, including pool workers, uses the same backend.
 
     When an :class:`~repro.check.engine_cache.EngineCache` is supplied
     the whole context is cached under the model fingerprint plus the
@@ -498,28 +472,6 @@ def prepare_path_engine(
     psi = frozenset(int(s) for s in psi_states)
     dead = frozenset(int(s) for s in dead_states) if dead_states else frozenset()
 
-    resolved_kernels = kernels_mod.resolve_backend(kernels)
-    obs = get_collector()
-    if obs.enabled:
-        kernel_set = kernels_mod.active_kernels(resolved_kernels)
-        obs.event(
-            "kernels.backend",
-            requested=kernels,
-            backend=resolved_kernels,
-            compile_seconds=(
-                kernel_set.compile_seconds if kernel_set is not None else 0.0
-            ),
-        )
-        obs.annotate(kernels=resolved_kernels)
-    if cache is not None and resolved_kernels != "numpy":
-        # Reference the process-wide kernel set from the cache so its
-        # lifetime (and /cache introspection) covers the compiled code
-        # alongside the contexts it accelerates.
-        cache.get_or_build(
-            ("kernels", resolved_kernels),
-            lambda: kernels_mod.kernel_set(resolved_kernels),
-        )
-
     def build() -> PathEngineContext:
         return _build_context(
             model,
@@ -533,7 +485,6 @@ def prepare_path_engine(
             truncation,
             uniformization_rate,
             cache,
-            resolved_kernels,
         )
 
     if cache is None:
@@ -550,7 +501,6 @@ def prepare_path_engine(
         strategy,
         truncation,
         uniformization_rate,
-        resolved_kernels,
     )
     return cache.get_or_build(key, build)
 
@@ -567,7 +517,6 @@ def _build_context(
     truncation: str,
     uniformization_rate: Optional[float],
     cache: Optional[EngineCache],
-    kernels: str = "numpy",
 ) -> PathEngineContext:
     """The actual context construction behind :func:`prepare_path_engine`."""
     with get_collector().span("until.prepare"):
@@ -583,7 +532,6 @@ def _build_context(
             truncation,
             uniformization_rate,
             cache,
-            kernels,
         )
 
 
@@ -599,7 +547,6 @@ def _build_context_timed(
     truncation: str,
     uniformization_rate: Optional[float],
     cache: Optional[EngineCache],
-    kernels: str = "numpy",
 ) -> PathEngineContext:
     n_states = model.num_states
     process = model.uniformize(uniformization_rate)
@@ -609,23 +556,7 @@ def _build_context_timed(
     reward_levels = model.distinct_state_rewards()
     impulse_levels = model.distinct_impulse_rewards()
     level_index = {level: i for i, level in enumerate(reward_levels)}
-    impulse_index = {level: i for i, level in enumerate(impulse_levels)}
     state_level = [level_index[model.state_reward(s)] for s in range(n_states)]
-
-    # Successor tables for the uniformized DTMC: per state, a list of
-    # (successor, probability, impulse-level index).
-    matrix = process.dtmc.matrix
-    successors: List[List[Tuple[int, float, int]]] = []
-    for state in range(n_states):
-        entries: List[Tuple[int, float, int]] = []
-        for pos in range(matrix.indptr[state], matrix.indptr[state + 1]):
-            target = int(matrix.indices[pos])
-            probability = float(matrix.data[pos])
-            if probability <= 0.0:
-                continue
-            impulse = process.impulse_reward(state, target)
-            entries.append((target, probability, impulse_index[impulse]))
-        successors.append(entries)
 
     max_depth_cap = (
         depth_limit if depth_limit is not None else _max_useful_depth(lam_t, w)
@@ -657,25 +588,30 @@ def _build_context_timed(
             lambda: _poisson_max_from(lam_t, max_depth_cap + 1),
         )
 
-    # Flat CSR successor structure for the columnar engine, with dead
-    # targets dropped (the searches never enter them) and per-edge move
-    # codes (target reward level x impulse level).
+    # Flat CSR successor structure, read straight off the uniformized
+    # DTMC's sparse matrix: zero entries and dead targets are dropped
+    # (the searches never enter them), and every edge carries its move
+    # code (target reward level x impulse level).  The self-loops that
+    # uniformization adds carry no impulse.
+    matrix = process.dtmc.matrix
+    sources = np.repeat(np.arange(n_states), np.diff(matrix.indptr))
+    targets = matrix.indices.astype(np.int64)
+    probs = np.asarray(matrix.data, dtype=float)
+    dead_mask = np.zeros(n_states, dtype=bool)
+    dead_mask[list(dead)] = True
+    keep = (probs > 0.0) & ~dead_mask[targets]
+    sources, targets, probs = sources[keep], targets[keep], probs[keep]
+    impulses = np.asarray(model.impulse_rewards[sources, targets], dtype=float)
+    impulses = impulses.reshape(-1)
+    impulses[sources == targets] = 0.0
     num_impulses = len(impulse_levels)
+    impulse_idx = np.searchsorted(-np.asarray(impulse_levels), -impulses)
+    levels = np.asarray(state_level, dtype=np.int64)
+    moves = levels[targets] * num_impulses + impulse_idx
     indptr = np.zeros(n_states + 1, dtype=np.int64)
-    flat_targets: List[int] = []
-    flat_probs: List[float] = []
-    flat_moves: List[int] = []
-    for state in range(n_states):
-        for target, probability, impulse_idx in successors[state]:
-            if target in dead:
-                continue
-            flat_targets.append(target)
-            flat_probs.append(probability)
-            flat_moves.append(state_level[target] * num_impulses + impulse_idx)
-        indptr[state + 1] = len(flat_targets)
+    np.cumsum(np.bincount(sources, minlength=n_states), out=indptr[1:])
     psi_mask = np.zeros(n_states, dtype=bool)
-    for state in psi:
-        psi_mask[state] = True
+    psi_mask[list(psi)] = True
 
     if cache is None:
         calculators = OmegaRegistry.for_reward_levels(reward_levels)
@@ -685,7 +621,6 @@ def _build_context_timed(
     return PathEngineContext(
         psi=psi,
         dead=dead,
-        successors=successors,
         state_level=state_level,
         reward_levels=reward_levels,
         impulse_levels=impulse_levels,
@@ -703,12 +638,11 @@ def _build_context_timed(
         num_states=n_states,
         calculators=calculators,
         succ_indptr=indptr,
-        succ_targets=np.asarray(flat_targets, dtype=np.int64),
-        succ_probs=np.asarray(flat_probs, dtype=float),
-        succ_moves=np.asarray(flat_moves, dtype=np.int64),
+        succ_targets=targets,
+        succ_probs=probs,
+        succ_moves=moves,
         psi_mask=psi_mask,
         class_table=ClassTable(len(reward_levels), num_impulses),
-        kernels=kernels,
     )
 
 
@@ -718,57 +652,28 @@ def joint_distribution_from_context(
     """Run the configured search from one initial state against a context.
 
     The heavy per-formula precomputation lives in the context; this call
-    performs only the DFPG/DP search and the Omega combination.  Omega
+    performs only the frontier sweep and the Omega combination.  Omega
     memo tables persist inside the context, so evaluating many initial
     states shares their work.
     """
     if not 0 <= int(initial_state) < context.num_states:
         raise CheckError(f"initial state {initial_state} out of range")
     obs = get_collector()
-    if context.strategy != "merged-legacy":
-        runner = (
-            _run_paths_sweep if context.strategy == "paths" else _run_merged_columnar
+    with obs.span("until.frontier", state=int(initial_state)):
+        k_rows, j_rows, agg_mass, error_bound, generated, stored, max_depth = (
+            _run_paths_sweep(int(initial_state), context)
         )
-        with obs.span("until.frontier", state=int(initial_state)):
-            k_rows, j_rows, agg_mass, error_bound, generated, stored, max_depth = (
-                runner(int(initial_state), context)
-            )
-        with obs.span("until.omega", state=int(initial_state)):
-            probability, classes, omega_evals = _combine_with_omega_matrix(
-                k_rows,
-                j_rows,
-                agg_mass,
-                context.reward_levels,
-                context.impulse_levels,
-                context.time_bound,
-                context.reward_bound,
-                context.calculators,
-            )
-    else:
-        with obs.span("until.frontier", state=int(initial_state)):
-            aggregated, error_bound, generated, stored, max_depth = _run_merged_dp(
-                initial_state=int(initial_state),
-                psi=context.psi,
-                dead=context.dead,
-                successors=context.successors,
-                state_level=context.state_level,
-                num_levels=len(context.reward_levels),
-                num_impulses=len(context.impulse_levels),
-                w=context.w,
-                depth_limit=context.depth_limit,
-                pmf=context.pmf,
-                heads=context.heads,
-                maxpois=context.maxpois,
-            )
-        with obs.span("until.omega", state=int(initial_state)):
-            probability, classes, omega_evals = _combine_with_omega(
-                aggregated,
-                context.reward_levels,
-                context.impulse_levels,
-                context.time_bound,
-                context.reward_bound,
-                context.calculators,
-            )
+    with obs.span("until.omega", state=int(initial_state)):
+        probability, classes, omega_evals = _combine_with_omega_matrix(
+            k_rows,
+            j_rows,
+            agg_mass,
+            context.reward_levels,
+            context.impulse_levels,
+            context.time_bound,
+            context.reward_bound,
+            context.calculators,
+        )
     return PathEngineResult(
         probability=probability,
         error_bound=error_bound,
@@ -793,7 +698,6 @@ def joint_distribution(
     strategy: str = "paths",
     truncation: str = "safe",
     uniformization_rate: Optional[float] = None,
-    kernels: str = "auto",
 ) -> PathEngineResult:
     """``Pr{Y(t) <= r, X(t) in psi_states}`` from ``initial_state``.
 
@@ -828,16 +732,13 @@ def joint_distribution(
     strategy:
         ``"paths"`` — the paper's path generation (Algorithm 4.7): the
         same path set and the same per-path truncation as its DFS, run
-        as a deepest-first columnar sweep over unmerged tree rows (see
-        the module docstring), so only the traversal order differs;
-        ``"merged"`` — a dynamic-programming variant that aggregates
-        probability mass per ``(state, k, j)`` before applying the
-        truncation test, which prunes strictly less at equal ``w`` (its
-        error bound still covers exactly what was discarded).  It runs
-        as the vectorized columnar sweep over a :class:`ClassTable`
-        (see the module docstring); ``"merged-legacy"`` selects the
-        dict-of-tuples implementation of the same recursion, kept for
-        ablation and equivalence testing.
+        as a deepest-first columnar sweep over unmerged tree rows, so
+        only the traversal order differs; ``"merged"`` — a
+        dynamic-programming variant of the same sweep that advances one
+        whole depth at a time and aggregates probability mass per
+        ``(state, k, j)`` before applying the truncation test, which
+        prunes strictly less at equal ``w`` (its error bound still
+        covers exactly what was discarded).  See the module docstring.
     truncation:
         How the test ``p < w`` of Algorithm 4.7 is applied.
 
@@ -856,12 +757,6 @@ def joint_distribution(
           error bound covers exactly what was discarded, as before.
     uniformization_rate:
         Optional explicit ``Lambda``.
-    kernels:
-        Hot-loop backend for the frontier merge of the ``merged``
-        sweep: ``"auto"`` (numba when available, else the NumPy
-        reference path), ``"numpy"``, ``"numba"`` or ``"python"``.
-        All backends return bitwise-identical results; see
-        :mod:`repro.kernels`.
 
     Returns
     -------
@@ -878,7 +773,6 @@ def joint_distribution(
         strategy=strategy,
         truncation=truncation,
         uniformization_rate=uniformization_rate,
-        kernels=kernels,
     )
     return joint_distribution_from_context(context, initial_state)
 
@@ -898,7 +792,6 @@ def joint_distribution_all(
     workers: int = 0,
     cache: Optional[EngineCache] = None,
     pool: Optional["object"] = None,
-    kernels: str = "auto",
 ) -> Dict[int, PathEngineResult]:
     """Batched evaluation: one shared context, one search per initial state.
 
@@ -927,7 +820,6 @@ EngineCache`; the process-wide default otherwise).
         truncation=truncation,
         uniformization_rate=uniformization_rate,
         cache=cache,
-        kernels=kernels,
     )
     return joint_distribution_many(
         context, initial_states, workers=workers, pool=pool
@@ -1094,120 +986,6 @@ PersistentWorkerPool` to run on (e.g. the one owned by an
     return results
 
 
-def _run_merged_dp(
-    initial_state: int,
-    psi: frozenset,
-    dead: frozenset,
-    successors: List[List[Tuple[int, float, int]]],
-    state_level: List[int],
-    num_levels: int,
-    num_impulses: int,
-    w: float,
-    depth_limit: Optional[int],
-    pmf: np.ndarray,
-    heads: np.ndarray,
-    maxpois: Optional[np.ndarray],
-) -> Tuple[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float], float, int, int, int]:
-    """Breadth-first dynamic programming over ``(state, k, j)`` classes.
-
-    Paths with equal state and equal reward characterization are merged
-    *before* the truncation test, so at equal ``w`` this prunes strictly
-    less than per-path truncation and yields a tighter error bound.  The
-    frontier at depth ``n`` maps ``(state, k, j)`` to the merged DTMC
-    probability; the Poisson weight ``pmf[n]`` is applied on storage.
-
-    This is the legacy dict-of-tuples implementation (strategy
-    ``"merged-legacy"``), kept as the reference for the vectorized
-    :func:`_run_merged_columnar`, which computes the same recursion over
-    interned class ids and columnar frontiers.
-    """
-    aggregated: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
-    error_bound = 0.0
-    generated = 0
-    stored = 0
-    max_depth = 0
-
-    if initial_state in dead:
-        return aggregated, 0.0, 0, 0, 0
-    root_score = float(pmf[0]) if maxpois is None else float(maxpois[0])
-    if root_score < w:
-        return aggregated, 1.0, 0, 0, 0
-
-    root_k = tuple(
-        1 if i == state_level[initial_state] else 0 for i in range(num_levels)
-    )
-    root_j = (0,) * num_impulses
-    frontier: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], float] = {
-        (initial_state, root_k, root_j): 1.0
-    }
-    depth = 0
-    head_count = len(heads)
-    pmf_count = len(pmf)
-    guard = get_guard()
-    obs = get_collector()
-    frontier_series = obs.series("until.frontier") if obs.enabled else None
-    mass_series = obs.series("until.truncation-mass") if obs.enabled else None
-    entry_bytes = 120 + 16 * (num_levels + num_impulses)
-    while frontier:
-        if guard.enabled:
-            # Dict-of-tuples frontier: a rough per-entry footprint (key
-            # tuple, count tuples, hash slots) keeps the estimate cheap.
-            guard.checkpoint(
-                "until.merged", mem_bytes=len(frontier) * entry_bytes
-            )
-        if frontier_series is not None:
-            frontier_series.append(float(depth), float(len(frontier)))
-        max_depth = depth
-        poisson_here = float(pmf[depth]) if depth < pmf_count else 0.0
-        for (state, k, j), p_dtmc in frontier.items():
-            generated += 1
-            if state in psi:
-                key = (k, j)
-                aggregated[key] = aggregated.get(key, 0.0) + poisson_here * p_dtmc
-                stored += 1
-        if depth_limit is not None and depth >= depth_limit:
-            break
-        next_depth = depth + 1
-        next_frontier: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], float] = {}
-        for (state, k, j), p_dtmc in frontier.items():
-            for target, probability, impulse_idx in successors[state]:
-                if target in dead:
-                    continue
-                child_dtmc = p_dtmc * probability
-                level = state_level[target]
-                child_k = k[:level] + (k[level] + 1,) + k[level + 1 :]
-                child_j = (
-                    j[:impulse_idx] + (j[impulse_idx] + 1,) + j[impulse_idx + 1 :]
-                )
-                key = (target, child_k, child_j)
-                next_frontier[key] = next_frontier.get(key, 0.0) + child_dtmc
-        # Truncation test on the merged classes.  Past the end of the
-        # pmf table the Poisson weight is genuinely below every
-        # representable threshold, so frontiers there score 0.0 — the
-        # same convention as the path sweep (a stale last-entry lookup would
-        # keep deep frontiers alive in "paper" mode and leak their mass
-        # out of the error bound).
-        surviving: Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], float] = {}
-        tail = 1.0 - heads[next_depth] if next_depth < head_count else 1.0
-        poisson_next = float(pmf[next_depth]) if next_depth < pmf_count else 0.0
-        ceiling = (
-            None
-            if maxpois is None
-            else float(maxpois[min(next_depth, len(maxpois) - 1)])
-        )
-        for key, p_dtmc in next_frontier.items():
-            score = poisson_next * p_dtmc if ceiling is None else p_dtmc * ceiling
-            if score < w:
-                error_bound += p_dtmc * tail
-            else:
-                surviving[key] = p_dtmc
-        if mass_series is not None:
-            mass_series.append(float(next_depth), float(error_bound))
-        frontier = surviving
-        depth = next_depth
-    return aggregated, error_bound, generated, stored, max_depth
-
-
 def _class_packing(context: PathEngineContext) -> Optional[Tuple[int, int]]:
     """Bit-field layout for packing ``(k, j)`` into at most two int64s.
 
@@ -1282,362 +1060,10 @@ def _unpack_words(
     return k_rows, j_rows
 
 
-def _run_merged_columnar(
-    initial_state: int, context: PathEngineContext
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int, int, int]:
-    """The merged-DP recursion as a vectorized columnar sweep.
-
-    Semantically identical to :func:`_run_merged_dp` — same frontier,
-    same merge, same truncation test, same error bound — but the
-    frontier at each depth is parallel arrays (state, class, merged DTMC
-    mass) and every step is an array operation:
-
-    * expansion gathers all out-edges of the frontier states through the
-      context's flat CSR successor arrays (``np.repeat`` over the
-      per-state degree, no per-node Python tuples);
-    * class characterizations are bit-packed count vectors (two int64
-      words, see :func:`_class_packing`), so deriving a child class is a
-      vectorized add of the per-move field increment — no hashing or
-      interning anywhere in the sweep; models whose counts do not fit
-      two words fall back to :class:`ClassTable` interning;
-    * duplicates merge with one ``lexsort`` over (class words, state)
-      plus ``np.add.reduceat``;
-    * per-depth storage appends the Poisson-weighted psi rows to a
-      column buffer; one final sort-merge aggregates them per class.
-
-    Returns ``(k_rows, j_rows, masses)`` — one row per distinct stored
-    class with its Poisson-weighted mass (combine with
-    :func:`_combine_with_omega_matrix`) — plus the same statistics tuple
-    as the other runners.
-    """
-    packing = _class_packing(context)
-    if packing is None:
-        return _sweep_interned(initial_state, context)
-    return _sweep_packed(initial_state, context, *packing)
-
-
 def _no_classes(context: PathEngineContext) -> Tuple[np.ndarray, np.ndarray]:
     k_rows = np.empty((0, len(context.reward_levels)), dtype=np.int64)
     j_rows = np.empty((0, len(context.impulse_levels)), dtype=np.int64)
     return k_rows, j_rows
-
-
-def _sweep_packed(
-    initial_state: int, context: PathEngineContext, bits: int, fields_per_word: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int, int, int]:
-    """Columnar sweep over bit-packed class words (see caller)."""
-    pmf = context.pmf
-    heads = context.heads
-    maxpois = context.maxpois
-    w = context.w
-    depth_limit = context.depth_limit
-    psi_mask = context.psi_mask
-    indptr = context.succ_indptr
-    succ_targets = context.succ_targets
-    succ_probs = context.succ_probs
-    succ_moves = context.succ_moves
-    num_levels = len(context.reward_levels)
-    num_impulses = len(context.impulse_levels)
-
-    empty_k, empty_j = _no_classes(context)
-    no_mass = np.empty(0, dtype=float)
-    if initial_state in context.dead:
-        return empty_k, empty_j, no_mass, 0.0, 0, 0, 0
-    root_score = float(pmf[0]) if maxpois is None else float(maxpois[0])
-    if root_score < w:
-        return empty_k, empty_j, no_mass, 1.0, 0, 0, 0
-
-    move_lo, move_hi = _move_words(context, bits, fields_per_word)
-    root_lo, root_hi = _field_increment(
-        context.state_level[initial_state], bits, fields_per_word
-    )
-    states = np.array([initial_state], dtype=np.int64)
-    class_lo = np.array([root_lo], dtype=np.int64)
-    class_hi = np.array([root_hi], dtype=np.int64)
-    mass = np.array([1.0], dtype=float)
-    stored_lo: List[np.ndarray] = []
-    stored_hi: List[np.ndarray] = []
-    stored_mass: List[np.ndarray] = []
-
-    error_bound = 0.0
-    generated = 0
-    stored = 0
-    max_depth = 0
-    depth = 0
-    pmf_count = len(pmf)
-    head_count = len(heads)
-    maxpois_count = 0 if maxpois is None else len(maxpois)
-    kernel = kernels_mod.active_kernels(context.kernels)
-    guard = get_guard()
-    obs = get_collector()
-    frontier_series = obs.series("until.frontier") if obs.enabled else None
-    mass_series = obs.series("until.truncation-mass") if obs.enabled else None
-    stored_bytes = 0
-    while states.size:
-        if guard.enabled:
-            # Frontier columns plus the psi column buffers accumulated
-            # so far — the sweep's live working set at this depth.
-            frontier_bytes = (
-                states.nbytes + class_lo.nbytes + class_hi.nbytes + mass.nbytes
-            )
-            guard.checkpoint(
-                "until.columnar", mem_bytes=frontier_bytes + stored_bytes
-            )
-        if frontier_series is not None:
-            frontier_series.append(float(depth), float(states.size))
-        max_depth = depth
-        generated += int(states.size)
-        poisson_here = float(pmf[depth]) if depth < pmf_count else 0.0
-        storing = psi_mask[states]
-        if storing.any():
-            stored_lo.append(class_lo[storing])
-            stored_hi.append(class_hi[storing])
-            stored_mass.append(mass[storing] * poisson_here)
-            stored += int(storing.sum())
-            if guard.enabled:
-                stored_bytes += (
-                    stored_lo[-1].nbytes
-                    + stored_hi[-1].nbytes
-                    + stored_mass[-1].nbytes
-                )
-        if depth_limit is not None and depth >= depth_limit:
-            break
-        next_depth = depth + 1
-        degrees = indptr[states + 1] - indptr[states]
-        total = int(degrees.sum())
-        if total == 0:
-            break
-        if guard.enabled:
-            # The expansion materializes ~7 length-``total`` int64/float
-            # columns (parent, offsets, edges, moves, states, mass, and
-            # the two class words) before the merge shrinks them.
-            guard.checkpoint(
-                "until.columnar.expand", mem_bytes=stored_bytes + total * 8 * 7
-            )
-        if kernel is not None:
-            # Compiled path: one fused expansion + stable-sort +
-            # grouping pass (see repro.kernels).  The group reduction
-            # stays on np.add.reduceat over the kernel-sorted masses so
-            # the summation order is the NumPy path's by construction.
-            merged_states, merged_lo, merged_hi, sorted_mass, group_starts = (
-                kernel.expand_merge(
-                    states,
-                    class_lo,
-                    class_hi,
-                    mass,
-                    indptr,
-                    succ_targets,
-                    succ_probs,
-                    succ_moves,
-                    move_lo,
-                    move_hi,
-                    total,
-                )
-            )
-            merged_mass = np.add.reduceat(sorted_mass, group_starts)
-        else:
-            parent = np.repeat(np.arange(states.size), degrees)
-            offsets = np.arange(total) - np.repeat(
-                np.cumsum(degrees) - degrees, degrees
-            )
-            edges = np.repeat(indptr[states], degrees) + offsets
-            moves = succ_moves[edges]
-            child_states = succ_targets[edges]
-            child_mass = mass[parent] * succ_probs[edges]
-            child_lo = class_lo[parent] + move_lo[moves]
-            child_hi = class_hi[parent] + move_hi[moves]
-            # Merge equal (state, class) pairs: one lexsort groups them,
-            # reduceat sums their masses.
-            order = np.lexsort((child_states, child_lo, child_hi))
-            sorted_states = child_states[order]
-            sorted_lo = child_lo[order]
-            sorted_hi = child_hi[order]
-            boundaries = np.empty(total, dtype=bool)
-            boundaries[0] = True
-            np.not_equal(sorted_hi[1:], sorted_hi[:-1], out=boundaries[1:])
-            boundaries[1:] |= sorted_lo[1:] != sorted_lo[:-1]
-            boundaries[1:] |= sorted_states[1:] != sorted_states[:-1]
-            group_starts = np.flatnonzero(boundaries)
-            merged_mass = np.add.reduceat(child_mass[order], group_starts)
-            merged_states = sorted_states[group_starts]
-            merged_lo = sorted_lo[group_starts]
-            merged_hi = sorted_hi[group_starts]
-        # Truncation test on the merged classes (same conventions as the
-        # legacy runner: pmf scores 0.0 past the table, maxpois clamps
-        # to its final suffix-maximum entry).
-        tail = 1.0 - float(heads[next_depth]) if next_depth < head_count else 1.0
-        if maxpois is None:
-            ceiling = float(pmf[next_depth]) if next_depth < pmf_count else 0.0
-        else:
-            ceiling = float(maxpois[min(next_depth, maxpois_count - 1)])
-        keep = merged_mass * ceiling >= w
-        if not keep.all():
-            error_bound += float(merged_mass[~keep].sum()) * tail
-            merged_states = merged_states[keep]
-            merged_lo = merged_lo[keep]
-            merged_hi = merged_hi[keep]
-            merged_mass = merged_mass[keep]
-        if mass_series is not None:
-            mass_series.append(float(next_depth), float(error_bound))
-        states = merged_states
-        class_lo = merged_lo
-        class_hi = merged_hi
-        mass = merged_mass
-        depth = next_depth
-
-    if not stored_lo:
-        return empty_k, empty_j, no_mass, error_bound, generated, stored, max_depth
-    all_lo = np.concatenate(stored_lo)
-    all_hi = np.concatenate(stored_hi)
-    all_mass = np.concatenate(stored_mass)
-    if kernel is not None:
-        class_lo, class_hi, sorted_mass, group_starts = kernel.group_pairs(
-            all_lo, all_hi, all_mass
-        )
-        masses = np.add.reduceat(sorted_mass, group_starts)
-    else:
-        (class_lo, class_hi), masses = _group_rows((all_lo, all_hi), all_mass)
-    k_rows, j_rows = _unpack_words(
-        class_lo, class_hi, bits, fields_per_word, num_levels, num_impulses
-    )
-    return k_rows, j_rows, masses, error_bound, generated, stored, max_depth
-
-
-def _sweep_interned(
-    initial_state: int, context: PathEngineContext
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int, int, int]:
-    """Columnar sweep over :class:`ClassTable`-interned dense class ids.
-
-    The fallback for models whose count vectors exceed two packed words
-    (see :func:`_class_packing`): same frontier/merge/truncation as
-    :func:`_sweep_packed`, but class identity is a dense interned id and
-    child derivation goes through :meth:`ClassTable.children` (one array
-    gather per already-seen ``(class, move)`` pair).
-    """
-    table = context.class_table
-    pmf = context.pmf
-    heads = context.heads
-    maxpois = context.maxpois
-    w = context.w
-    depth_limit = context.depth_limit
-    psi_mask = context.psi_mask
-    indptr = context.succ_indptr
-    succ_targets = context.succ_targets
-    succ_probs = context.succ_probs
-    succ_moves = context.succ_moves
-    num_states = np.int64(indptr.shape[0] - 1)
-
-    empty_k, empty_j = _no_classes(context)
-    no_mass = np.empty(0, dtype=float)
-    error_bound = 0.0
-    generated = 0
-    stored = 0
-    max_depth = 0
-
-    if initial_state in context.dead:
-        return empty_k, empty_j, no_mass, 0.0, 0, 0, 0
-    root_score = float(pmf[0]) if maxpois is None else float(maxpois[0])
-    if root_score < w:
-        return empty_k, empty_j, no_mass, 1.0, 0, 0, 0
-
-    states = np.array([initial_state], dtype=np.int64)
-    class_ids = np.array(
-        [table.root(context.state_level[initial_state])], dtype=np.int64
-    )
-    mass = np.array([1.0], dtype=float)
-    stored_ids: List[np.ndarray] = []
-    stored_mass: List[np.ndarray] = []
-    depth = 0
-    pmf_count = len(pmf)
-    head_count = len(heads)
-    maxpois_count = 0 if maxpois is None else len(maxpois)
-    guard = get_guard()
-    obs = get_collector()
-    frontier_series = obs.series("until.frontier") if obs.enabled else None
-    mass_series = obs.series("until.truncation-mass") if obs.enabled else None
-    stored_bytes = 0
-    while states.size:
-        if guard.enabled:
-            frontier_bytes = states.nbytes + class_ids.nbytes + mass.nbytes
-            guard.checkpoint(
-                "until.columnar", mem_bytes=frontier_bytes + stored_bytes
-            )
-        if frontier_series is not None:
-            frontier_series.append(float(depth), float(states.size))
-        max_depth = depth
-        generated += int(states.size)
-        poisson_here = float(pmf[depth]) if depth < pmf_count else 0.0
-        storing = psi_mask[states]
-        if storing.any():
-            stored_ids.append(class_ids[storing])
-            stored_mass.append(mass[storing] * poisson_here)
-            stored += int(storing.sum())
-            if guard.enabled:
-                stored_bytes += stored_ids[-1].nbytes + stored_mass[-1].nbytes
-        if depth_limit is not None and depth >= depth_limit:
-            break
-        next_depth = depth + 1
-        degrees = indptr[states + 1] - indptr[states]
-        total = int(degrees.sum())
-        if total == 0:
-            break
-        if guard.enabled:
-            guard.checkpoint(
-                "until.columnar.expand", mem_bytes=stored_bytes + total * 8 * 6
-            )
-        parent = np.repeat(np.arange(states.size), degrees)
-        offsets = np.arange(total) - np.repeat(
-            np.cumsum(degrees) - degrees, degrees
-        )
-        edges = np.repeat(indptr[states], degrees) + offsets
-        child_states = succ_targets[edges]
-        child_mass = mass[parent] * succ_probs[edges]
-        child_ids = table.children(class_ids[parent], succ_moves[edges])
-        # Merge equal (state, class) pairs: one stable sort on the fused
-        # key groups them, reduceat sums their masses.
-        fused = child_ids * num_states + child_states
-        order = np.argsort(fused, kind="stable")
-        sorted_key = fused[order]
-        boundaries = np.empty(total, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundaries[1:])
-        group_starts = np.flatnonzero(boundaries)
-        merged_mass = np.add.reduceat(child_mass[order], group_starts)
-        leaders = order[group_starts]
-        merged_states = child_states[leaders]
-        merged_ids = child_ids[leaders]
-        tail = 1.0 - float(heads[next_depth]) if next_depth < head_count else 1.0
-        if maxpois is None:
-            ceiling = float(pmf[next_depth]) if next_depth < pmf_count else 0.0
-        else:
-            ceiling = float(maxpois[min(next_depth, maxpois_count - 1)])
-        keep = merged_mass * ceiling >= w
-        if not keep.all():
-            error_bound += float(merged_mass[~keep].sum()) * tail
-            merged_states = merged_states[keep]
-            merged_ids = merged_ids[keep]
-            merged_mass = merged_mass[keep]
-        if mass_series is not None:
-            mass_series.append(float(next_depth), float(error_bound))
-        states = merged_states
-        class_ids = merged_ids
-        mass = merged_mass
-        depth = next_depth
-
-    if not stored_ids:
-        return empty_k, empty_j, no_mass, error_bound, generated, stored, max_depth
-    (unique_ids,), masses = _group_rows(
-        (np.concatenate(stored_ids),), np.concatenate(stored_mass)
-    )
-    return (
-        table.k_rows(unique_ids),
-        table.j_rows(unique_ids),
-        masses,
-        error_bound,
-        generated,
-        stored,
-        max_depth,
-    )
 
 
 class _PackedClasses:
@@ -1709,26 +1135,33 @@ def _group_rows(
 def _run_paths_sweep(
     initial_state: int, context: PathEngineContext
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int, int, int]:
-    """Algorithm 4.7 as a deepest-first columnar sweep over unmerged rows.
+    """The frontier sweep of both strategies (see the module docstring).
 
-    Each row is one node of the DFPG search tree: its state, its class
-    key (bit-packed ``(k, j)`` words, or a :class:`ClassTable` id when
-    the counts do not fit two words) and its DTMC path probability
+    Each row is one node of the search tree: its state, its class key
+    (bit-packed ``(k, j)`` words, or a :class:`ClassTable` id when the
+    counts do not fit two words) and its DTMC path probability
     ``P(sigma)``.  A block holds rows of one depth.  Popping a block
     counts its rows as generated, stores its ``Psi``-rows with weight
-    ``pmf[n] P(sigma)`` (reduced per class within the block) and, unless
-    the depth limit is reached, expands every row through the CSR
-    successor arrays.  Each child is tested on its own, exactly as the
-    DFS tests it, and a discarded child adds ``P(sigma') (1 - head)`` to
-    the eq. (4.6) bound.  The surviving children are pushed as blocks of
-    at most :data:`PATHS_BLOCK_ROWS` rows, so the stack always continues
-    with the deepest rows and stays bounded like the DFS stack.
+    ``pmf[n] P(sigma)`` and, unless the depth limit is reached, expands
+    every row through the CSR successor arrays.  A child that fails the
+    truncation test adds ``P(sigma') (1 - head)`` to the eq. (4.6) bound.
 
-    The path set, ``paths_generated``, ``paths_stored`` and
-    ``max_depth`` therefore equal the DFS's; probability and error bound
-    differ from it only by summation order.  Returns the same tuple as
-    :func:`_run_merged_columnar`.
+    ``"paths"`` tests every child on its own, exactly as the DFS tests
+    it, and pushes the survivors as blocks of at most
+    :data:`PATHS_BLOCK_ROWS` rows, so the stack always continues with the
+    deepest rows and stays bounded like the DFS stack.  The path set,
+    ``paths_generated``, ``paths_stored`` and ``max_depth`` therefore
+    equal the DFS's; probability and error bound differ from it only by
+    summation order.  ``"merged"`` sums the children with equal
+    ``(state, class)`` first, tests the merged rows and pushes the next
+    depth as one block, so every popped block is a whole depth.
+
+    Returns ``(k_rows, j_rows, masses)`` — one row per distinct stored
+    class with its Poisson-weighted mass (combine with
+    :func:`_combine_with_omega_matrix`) — followed by the error bound and
+    the generated, stored and maximal-depth statistics.
     """
+    merge = context.strategy == "merged"
     pmf = context.pmf
     heads = context.heads
     maxpois = context.maxpois
@@ -1757,8 +1190,11 @@ def _run_paths_sweep(
         else _PackedClasses(context, *packing)
     )
     root_keys = classes.root(context.state_level[initial_state])
-    # state + mass + key words; the stored buffers hold keys + mass.
+    # A live row holds state + mass + key words.  A stored merged row
+    # holds key words + mass; the paths sweep budgets its (per-block
+    # grouped) stored rows at the full row width.
     row_bytes = 16 + 8 * len(root_keys)
+    stored_row_bytes = row_bytes - 8 if merge else row_bytes
     stack = [
         (0, np.array([initial_state], dtype=np.int64), root_keys, np.ones(1))
     ]
@@ -1775,16 +1211,21 @@ def _run_paths_sweep(
     head_count = len(heads)
     maxpois_count = 0 if maxpois is None else len(maxpois)
     guard = get_guard()
+    phase = "until.columnar" if merge else "until.paths"
     obs = get_collector()
+    frontier_series = obs.series("until.frontier") if obs.enabled else None
     mass_series = obs.series("until.truncation-mass") if obs.enabled else None
     while stack:
         if guard.enabled:
             guard.checkpoint(
-                "until.paths", mem_bytes=(stack_rows + buffered_rows) * row_bytes
+                phase,
+                mem_bytes=stack_rows * row_bytes + buffered_rows * stored_row_bytes,
             )
         if mass_series is not None:
             mass_series.append(float(generated), float(error_bound))
         depth, states, keys, mass = stack.pop()
+        if frontier_series is not None:
+            frontier_series.append(float(depth), float(states.size))
         stack_rows -= states.size
         generated += int(states.size)
         if depth > max_depth:
@@ -1794,10 +1235,13 @@ def _run_paths_sweep(
         if count:
             stored += count
             poisson_here = float(pmf[depth]) if depth < pmf_count else 0.0
-            block_keys, block_mass = _group_rows(
-                tuple(column[storing] for column in keys),
-                mass[storing] * poisson_here,
-            )
+            block_keys = tuple(column[storing] for column in keys)
+            block_mass = mass[storing] * poisson_here
+            if not merge:
+                # Many paths share a class: reducing each block keeps the
+                # buffer small.  Merged rows are already distinct per
+                # (state, class), so they wait for the final grouping.
+                block_keys, block_mass = _group_rows(block_keys, block_mass)
             stored_keys.append(block_keys)
             stored_mass.append(block_mass)
             buffered_rows += block_mass.size
@@ -1807,13 +1251,34 @@ def _run_paths_sweep(
         total = int(degrees.sum())
         if total == 0:
             continue
+        if merge and guard.enabled:
+            # The expansion materializes ~5 + len(keys) length-``total``
+            # columns (parent, edges, states, mass, sort order and the
+            # class keys) before the merge shrinks them.
+            guard.checkpoint(
+                "until.columnar.expand",
+                mem_bytes=buffered_rows * stored_row_bytes
+                + total * 8 * (5 + len(keys)),
+            )
         next_depth = depth + 1
         parent = np.repeat(np.arange(states.size), degrees)
         edges = np.repeat(indptr[states] - (np.cumsum(degrees) - degrees), degrees)
         edges += np.arange(total)
         child_mass = mass[parent] * succ_probs[edges]
-        # Per-row truncation test, with the merged sweep's conventions
-        # past the end of the tables (pmf scores 0.0, maxpois clamps).
+        if merge:
+            # Derive every child's key, then sum equal (state, class) rows
+            # so that the truncation test sees the merged mass.
+            rows, child_mass = _group_rows(
+                (
+                    succ_targets[edges],
+                    *classes.children(keys, parent, succ_moves[edges]),
+                ),
+                child_mass,
+            )
+        else:
+            # Test first: a discarded child needs no key.
+            rows = (parent, edges)
+        # Past the end of the tables pmf scores 0.0 and maxpois clamps.
         if maxpois is None:
             ceiling = float(pmf[next_depth]) if next_depth < pmf_count else 0.0
         else:
@@ -1822,22 +1287,25 @@ def _run_paths_sweep(
         if not keep.all():
             tail = 1.0 - float(heads[next_depth]) if next_depth < head_count else 1.0
             error_bound += float(child_mass[~keep].sum()) * tail
-            parent = parent[keep]
-            edges = edges[keep]
+            rows = tuple(column[keep] for column in rows)
             child_mass = child_mass[keep]
         size = int(child_mass.size)
         if size == 0:
             continue
-        child_states = succ_targets[edges]
-        child_keys = classes.children(keys, parent, succ_moves[edges])
-        blocks = -(-size // PATHS_BLOCK_ROWS)
+        if not merge:
+            parent, edges = rows
+            rows = (
+                succ_targets[edges],
+                *classes.children(keys, parent, succ_moves[edges]),
+            )
+        blocks = 1 if merge else -(-size // PATHS_BLOCK_ROWS)
         bounds = [size * b // blocks for b in range(blocks + 1)]
         for start, end in zip(bounds[:-1], bounds[1:]):
             stack.append(
                 (
                     next_depth,
-                    child_states[start:end],
-                    tuple(column[start:end] for column in child_keys),
+                    rows[0][start:end],
+                    tuple(column[start:end] for column in rows[1:]),
                     child_mass[start:end],
                 )
             )
@@ -1853,8 +1321,10 @@ def _run_paths_sweep(
     return k_rows, j_rows, masses, error_bound, generated, stored, max_depth
 
 
-def _combine_with_omega(
-    aggregated: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float],
+def _combine_with_omega_matrix(
+    k_rows: np.ndarray,
+    j_rows: np.ndarray,
+    masses: np.ndarray,
     reward_levels: List[float],
     impulse_levels: List[float],
     time_bound: float,
@@ -1866,52 +1336,13 @@ def _combine_with_omega(
     Per eqs. (4.9)/(4.10): with the distinct state rewards
     ``r_1 > ... > r_{K+1}``, group coefficients ``c_l = r_l - r_{K+1}``
     and impulse contribution ``imp = sum_l i_l j_l``, the conditional
-    probability is ``Omega(r/t - r_{K+1} - imp/t, k)``.  Every class
-    whose threshold is not negative goes through one pass of the shared
-    ``calculators`` registry, whose memos are reused across initial
-    states; the returned evaluation count covers only the nodes newly
-    evaluated by this call.
-    """
-    if not aggregated:
-        return 0.0, 0, 0
-    smallest = reward_levels[-1]
-    live = []
-    for (k, j), mass in aggregated.items():
-        impulse_total = sum(
-            level * count for level, count in zip(impulse_levels, j)
-        )
-        threshold = reward_bound / time_bound - smallest - impulse_total / time_bound
-        if threshold < 0.0:
-            continue  # reward bound already violated by impulses alone
-        live.append((k, threshold, mass))
-    probability = 0.0
-    omega_evals = 0
-    if live:
-        values, omega_evals = calculators.evaluate(
-            [k for k, _, _ in live], [threshold for _, threshold, _ in live]
-        )
-        for (_, _, mass), value in zip(live, values.tolist()):
-            probability += mass * value
-    return probability, len(aggregated), omega_evals
-
-
-def _combine_with_omega_matrix(
-    k_rows: np.ndarray,
-    j_rows: np.ndarray,
-    masses: np.ndarray,
-    reward_levels: List[float],
-    impulse_levels: List[float],
-    time_bound: float,
-    reward_bound: float,
-    calculators: OmegaRegistry,
-) -> Tuple[float, int, int]:
-    """Vectorized Omega combination over columnar class matrices.
-
-    The columnar counterpart of :func:`_combine_with_omega`: the
-    per-class thresholds are one vector expression over the count
-    matrices, every class with a non-negative threshold goes through one
-    pass of the registry, and each group of classes sharing a threshold
-    is folded into the probability with one dot product.
+    probability is ``Omega(r/t - r_{K+1} - imp/t, k)``.  The per-class
+    thresholds are one vector expression over the count matrices, every
+    class with a non-negative threshold goes through one pass of the
+    shared ``calculators`` registry (whose memos are reused across
+    initial states; the returned evaluation count covers only the nodes
+    newly evaluated by this call), and each group of classes sharing a
+    threshold is folded into the probability with one dot product.
     """
     classes = int(masses.size)
     if classes == 0:

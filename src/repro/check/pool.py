@@ -165,7 +165,6 @@ class ContextDescriptor:
     strategy: str
     truncation: str
     num_states: int
-    kernels: str = "numpy"
 
 
 _PUBLISH_LOCK = threading.Lock()
@@ -283,7 +282,6 @@ def publish_context(context) -> ContextDescriptor:
         strategy=context.strategy,
         truncation=context.truncation,
         num_states=int(context.num_states),
-        kernels=context.kernels,
     )
     with _PUBLISH_LOCK:
         _SEGMENTS[token] = segment
@@ -338,36 +336,9 @@ def _attach_context(descriptor: ContextDescriptor):
     state_level = [int(level) for level in arrays["state_level"]]
     num_impulses = len(descriptor.impulse_levels)
 
-    # The per-edge successor list is only walked by the "merged-legacy"
-    # runner; the columnar sweeps read the CSR arrays directly.
-    # Rebuilding it from CSR drops the dead targets the parent-side list
-    # still carries — identical iteration, because the runner skips
-    # dead targets before accumulating anything.
-    successors: List[List[Tuple[int, float, int]]]
-    if descriptor.strategy != "merged-legacy":
-        successors = [[] for _ in range(descriptor.num_states)]
-    else:
-        indptr = arrays["succ_indptr"]
-        targets = arrays["succ_targets"]
-        probs = arrays["succ_probs"]
-        moves = arrays["succ_moves"]
-        successors = []
-        for state in range(descriptor.num_states):
-            entries = []
-            for pos in range(int(indptr[state]), int(indptr[state + 1])):
-                entries.append(
-                    (
-                        int(targets[pos]),
-                        float(probs[pos]),
-                        int(moves[pos]) % num_impulses,
-                    )
-                )
-            successors.append(entries)
-
     context = PathEngineContext(
         psi=psi,
         dead=dead,
-        successors=successors,
         state_level=state_level,
         reward_levels=list(descriptor.reward_levels),
         impulse_levels=list(descriptor.impulse_levels),
@@ -390,7 +361,6 @@ def _attach_context(descriptor: ContextDescriptor):
         succ_moves=arrays["succ_moves"],
         psi_mask=arrays["psi_mask"],
         class_table=ClassTable(len(descriptor.reward_levels), num_impulses),
-        kernels=descriptor.kernels,
     )
     _WORKER_CONTEXTS[descriptor.token] = (context, segment)
     while len(_WORKER_CONTEXTS) > _WORKER_CACHE_LIMIT:

@@ -284,7 +284,6 @@ def until_probability(
     truncation: str = "safe",
     depth_limit: Optional[int] = None,
     cache: Optional[EngineCache] = None,
-    kernels: str = "auto",
 ):
     """P2 for one initial state: the quantitative value plus diagnostics.
 
@@ -313,7 +312,6 @@ def until_probability(
             strategy=strategy,
             truncation=truncation,
             cache=cache,
-            kernels=kernels,
         )
         return joint_distribution_from_context(context, initial_state)
     if engine == "discretization":
@@ -360,7 +358,6 @@ def until_probabilities(
     depth_limit: Optional[int] = None,
     workers: int = 0,
     cache: Optional[EngineCache] = None,
-    kernels: str = "auto",
 ):
     """Batched P2: ``P(s, Phi U^I_J Psi)`` for **all** states at once.
 
@@ -425,12 +422,10 @@ def until_probabilities(
             strategy=strategy,
             truncation=truncation,
             cache=cache,
-            kernels=kernels,
         )
         with obs.span(
             "until.search",
             strategy=strategy,
-            kernels=context.kernels,
             workers=int(workers),
             pending=len(pending),
         ):
@@ -506,7 +501,6 @@ def satisfy_until(
     solver: str = "gauss-seidel",
     workers: int = 0,
     cache: Optional[EngineCache] = None,
-    kernels: str = "auto",
 ) -> UntilResult:
     """Algorithm 4.5 generalized over the three property classes.
 
@@ -558,7 +552,6 @@ def satisfy_until(
             truncation=truncation,
             workers=workers,
             cache=cache,
-            kernels=kernels,
         )
         engine_name = (
             "paths-uniformization" if engine == "uniformization" else "discretization"

@@ -20,12 +20,6 @@ or, with a guarded-command model description::
   searches out over ``N`` worker processes (clamped to the machine's
   core count; the workers form a persistent shared-memory pool reused
   across formulas, and results are identical to a serial run).
-* ``--kernels {auto,numpy,numba,python}`` selects the compiled-kernel
-  backend for the path engine's hot loops.  The default ``auto`` uses
-  the numba-jitted kernels when the optional ``repro[speed]`` extra is
-  installed and silently (modulo a ``kernels.fallback`` report event)
-  runs the NumPy reference path otherwise; all backends are bitwise
-  identical.
 * ``--timeout SECONDS`` and ``--mem-budget BYTES`` (``K``/``M``/``G``
   suffixes accepted) bound each formula's evaluation; on a tripped
   budget the checker degrades through cheaper engine tiers instead of
@@ -159,14 +153,6 @@ def _build_argument_parser() -> argparse.ArgumentParser:
         help="worker processes for the uniformization engine's "
         "per-initial-state fan-out (default: serial; clamped to the "
         "machine's core count)",
-    )
-    parser.add_argument(
-        "--kernels",
-        choices=("auto", "numpy", "numba", "python"),
-        default=None,
-        help="compiled-kernel backend for the engine hot loops "
-        "(default: auto — numba when installed, else the NumPy "
-        "reference path; all backends are bitwise identical)",
     )
     parser.add_argument(
         "--timeout",
@@ -469,8 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.workers < 0:
                 raise ReproError(f"bad --workers {args.workers}: must be >= 0")
             options = dataclasses.replace(options, workers=args.workers)
-        if args.kernels is not None:
-            options = dataclasses.replace(options, kernels=args.kernels)
         if args.timeout is not None:
             if args.timeout <= 0:
                 raise ReproError(f"bad --timeout {args.timeout}: must be > 0")

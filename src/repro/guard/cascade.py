@@ -8,9 +8,9 @@ memory-hungry configuration toward the slowest, leanest one — re-running
 only the failed sub-problem:
 
 * within the uniformization path engine the strategies degrade
-  ``merged`` (columnar, large frontiers in RAM) → ``merged-legacy``
-  (dict DP, smaller constants) → ``paths`` (per-path truncation swept in
-  bounded deepest-first blocks, bounded memory);
+  ``merged`` (one whole depth of the frontier in RAM at a time) →
+  ``paths`` (per-path truncation swept in bounded deepest-first blocks,
+  bounded memory);
 * across engines, uniformization and discretization fall back to each
   other (a tier whose preconditions the model violates — e.g.
   non-integral rewards for discretization — is skipped);
@@ -31,7 +31,7 @@ __all__ = ["EngineTier", "until_tiers", "degradation_record"]
 
 #: Path-strategy ladder within the uniformization engine, fastest (and
 #: hungriest) first.
-_STRATEGY_LADDER = ("merged", "merged-legacy", "paths")
+_STRATEGY_LADDER = ("merged", "paths")
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ _ENGINE_OPTION_KEYS = (
     "path_strategy",
     "truncation_mode",
     "linear_solver",
-    "kernels",
     "workers",
     "degrade",
 )
@@ -89,7 +88,6 @@ class RequestSpec:
             opts.path_strategy,
             opts.truncation_mode,
             opts.linear_solver,
-            opts.kernels,
             opts.degrade,
         )
 
@@ -357,7 +355,6 @@ class CheckerService:
             options.path_strategy,
             options.truncation_mode,
             options.linear_solver,
-            options.kernels,
             options.workers,
             options.degrade,
         )

@@ -1,7 +1,7 @@
 """Property tests: the independent P2 engines agree on random models.
 
-Random small MRMs with integer rewards are generated; the per-path DFS,
-the merged dynamic programming and the discretization engine must agree
+Random small MRMs with integer rewards are generated; the paths sweep,
+the merged sweep and the discretization engine must agree
 on ``Pr{Y(t) <= r, X(t) |= Psi}`` within their analysis errors.  This is
 the strongest correctness argument available (the paper's Section 5.3.3
 applies it to a single model; here hypothesis sweeps the model space).
@@ -11,10 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.check.paths_engine import joint_distribution
+from repro.check.paths_engine import (
+    joint_distribution,
+    joint_distribution_from_context,
+    prepare_path_engine,
+)
 from repro.check.discretization import discretized_joint_distribution
 from repro.ctmc.chain import CTMC
 from repro.mrm.model import MRM
+from tests.paths_oracle import merged_dp_result
 
 
 @st.composite
@@ -80,8 +85,8 @@ class TestEngineAgreement:
     @given(model=small_mrm(), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_columnar_matches_legacy_merged(self, model, data):
-        """The vectorized columnar sweep is the same recursion as the
-        legacy dict-frontier DP, so agreement is near-exact (1e-12, the
+        """The columnar merged sweep is the same recursion as the
+        dict-frontier DP oracle, so agreement is near-exact (1e-12, the
         slack covering merge-order-dependent float summation) and the
         search statistics must match exactly."""
         n = model.num_states
@@ -89,16 +94,17 @@ class TestEngineAgreement:
         t = data.draw(st.sampled_from([0.5, 1.0]))
         r = data.draw(st.sampled_from([1.0, 3.0, 8.0]))
         mode = data.draw(st.sampled_from(["safe", "paper"]))
-        kwargs = dict(
-            initial_state=0,
+        context = prepare_path_engine(
+            model,
             psi_states=psi,
             time_bound=t,
             reward_bound=r,
             truncation_probability=1e-8,
             truncation=mode,
+            strategy="merged",
         )
-        legacy = joint_distribution(model, strategy="merged-legacy", **kwargs)
-        columnar = joint_distribution(model, strategy="merged", **kwargs)
+        legacy = merged_dp_result(context, 0)
+        columnar = joint_distribution_from_context(context, 0)
         assert abs(columnar.probability - legacy.probability) <= 1e-12
         assert abs(columnar.error_bound - legacy.error_bound) <= 1e-12
         assert columnar.paths_generated == legacy.paths_generated

@@ -178,40 +178,33 @@ class TestNumericalEdges:
 
 WAVELAN_P2 = "P(>0.5) [TT U[0,0.5][0,50] busy]"
 
-_STRATEGY_RUNNERS = {
-    "merged": "_run_merged_columnar",
-    "merged-legacy": "_run_merged_dp",
-    "paths": "_run_paths_sweep",
-}
-
-
 class _inject_engine_faults:
-    """Replace selected path-engine runners with raising stubs.
+    """Make the path-engine sweep raise for selected strategies.
 
-    A context manager rather than the ``monkeypatch`` fixture so
-    hypothesis can enter/exit it once per drawn example.
+    Both strategies run through one sweep, so the fault keys on the
+    context's strategy.  A context manager rather than the
+    ``monkeypatch`` fixture so hypothesis can enter/exit it once per
+    drawn example.
     """
 
     def __init__(self, failing, error=MemoryError):
-        self._failing = list(failing)
+        self._failing = set(failing)
         self._error = error
-        self._saved = {}
+        self._original = None
 
     def __enter__(self):
-        for strategy in self._failing:
-            name = _STRATEGY_RUNNERS[strategy]
-            self._saved[name] = getattr(paths_engine, name)
-            error = self._error
+        original = self._original = paths_engine._run_paths_sweep
 
-            def stub(*args, _strategy=strategy, **kwargs):
-                raise error(f"injected fault in {_strategy}")
+        def stub(initial_state, context):
+            if context.strategy in self._failing:
+                raise self._error(f"injected fault in {context.strategy}")
+            return original(initial_state, context)
 
-            setattr(paths_engine, name, stub)
+        paths_engine._run_paths_sweep = stub
         return self
 
     def __exit__(self, *exc_info):
-        for name, original in self._saved.items():
-            setattr(paths_engine, name, original)
+        paths_engine._run_paths_sweep = self._original
         return False
 
 
@@ -224,39 +217,38 @@ class TestDegradationCascade:
         records = result.report.degradations
         assert [r["kind"] for r in records] == ["engine"]
         assert records[0]["from"] == "uniformization/merged"
-        assert records[0]["to"] == "uniformization/merged-legacy"
+        assert records[0]["to"] == "uniformization/paths"
         assert "MemoryError" in records[0]["reason"]
         # The surviving tier's numbers are exactly a direct run of it.
         exact = ModelChecker(
-            wavelan, CheckOptions(path_strategy="merged-legacy")
+            wavelan, CheckOptions(path_strategy="paths")
         ).check(WAVELAN_P2)
         assert result.probabilities == exact.probabilities
         assert result.states == exact.states
 
     def test_documented_cascade_order(self, wavelan):
-        # All three uniformization strategies fail; WaveLAN's impulses
+        # Both uniformization strategies fail; WaveLAN's impulses
         # are not d-integral, so the final discretization tier is
         # skipped as unavailable and the result is partial.
-        with _inject_engine_faults(["merged", "merged-legacy", "paths"]):
+        with _inject_engine_faults(["merged", "paths"]):
             checker = ModelChecker(wavelan, CheckOptions(path_strategy="merged"))
             result = checker.check(WAVELAN_P2)
         assert result.trust == "partial"
         hops = [(r["from"], r["to"]) for r in result.report.degradations]
         assert hops == [
-            ("uniformization/merged", "uniformization/merged-legacy"),
-            ("uniformization/merged-legacy", "uniformization/paths"),
+            ("uniformization/merged", "uniformization/paths"),
             ("uniformization/paths", "discretization"),
             ("discretization", None),
         ]
 
     def test_slow_engine_stub_trips_deadline(self, wavelan):
-        original = paths_engine._run_merged_columnar
+        original = paths_engine._run_paths_sweep
 
         def slow(*args, **kwargs):
             time.sleep(0.2)
             return original(*args, **kwargs)
 
-        paths_engine._run_merged_columnar = slow
+        paths_engine._run_paths_sweep = slow
         try:
             checker = ModelChecker(
                 wavelan,
@@ -264,7 +256,7 @@ class TestDegradationCascade:
             )
             result = checker.check(WAVELAN_P2)
         finally:
-            paths_engine._run_merged_columnar = original
+            paths_engine._run_paths_sweep = original
         # The deadline passed inside the slow tier; retrying a cheaper
         # tier cannot beat an absolute deadline, so the cascade goes
         # straight to the conservative partial answer.
@@ -286,20 +278,17 @@ class TestDegradationCascade:
     @settings(max_examples=12, deadline=None)
     @given(
         fail_merged=st.booleans(),
-        fail_legacy=st.booleans(),
         fail_paths=st.booleans(),
     )
-    def test_degraded_numbers_match_surviving_tier(
-        self, fail_merged, fail_legacy, fail_paths
-    ):
+    def test_degraded_numbers_match_surviving_tier(self, fail_merged, fail_paths):
         from repro.models import build_wavelan_modem
 
         model = build_wavelan_modem()
-        ladder = ["merged", "merged-legacy", "paths"]
+        ladder = ["merged", "paths"]
         failing = [
             strategy
             for strategy, fails in zip(
-                ladder, (fail_merged, fail_legacy, fail_paths)
+                ladder, (fail_merged, fail_paths)
             )
             if fails
         ]

@@ -146,7 +146,6 @@ class TestCascadeTiers:
         labels = [t.label for t in until_tiers("uniformization", "merged")]
         assert labels == [
             "uniformization/merged",
-            "uniformization/merged-legacy",
             "uniformization/paths",
             "discretization",
         ]
@@ -162,7 +161,7 @@ class TestCascadeTiers:
 
     def test_first_tier_is_the_configuration(self):
         for engine, strategy in [
-            ("uniformization", "merged-legacy"),
+            ("uniformization", "merged"),
             ("discretization", "paths"),
         ]:
             tier = until_tiers(engine, strategy)[0]
@@ -215,6 +214,11 @@ class TestCheckOptionsValidation:
     def test_rejected_at_construction(self, kwargs):
         with pytest.raises(CheckError):
             CheckOptions(**kwargs)
+
+    def test_removed_strategy_names_the_remaining_ones(self):
+        with pytest.raises(CheckError) as excinfo:
+            CheckOptions(path_strategy="merged-legacy")
+        assert "('paths', 'merged')" in str(excinfo.value)
 
     def test_valid_defaults_pass(self):
         options = CheckOptions()

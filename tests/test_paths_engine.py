@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from repro.check.paths_engine import (
+    ClassTable,
+    PathEngineContext,
     _max_useful_depth,
     _poisson_heads,
     _poisson_max_from,
+    _run_paths_sweep,
     joint_distribution,
+    joint_distribution_from_context,
+    prepare_path_engine,
 )
 from repro.ctmc.chain import CTMC
 from repro.exceptions import CheckError
 from repro.mrm.model import MRM
+from repro.numerics.orderstat import OmegaRegistry
 from repro.numerics.poisson import poisson_pmf
+from tests.paths_oracle import merged_dp_result, run_merged_dp, successor_lists
 
 
 def reward_free_two_state(lam=1.0, mu=2.0):
@@ -341,40 +348,76 @@ class TestClassTable:
 
 
 class TestMergedOutOfTableTruncation:
+    PMF = np.array([0.5, 0.3, 0.1])
+    HEADS = np.array([0.0, 0.5, 0.8, 0.9])
+
+    def ping_pong_context(self):
+        # Two states swapping forever with probability 1: the chain never
+        # dies on its own; only the out-of-table truncation can stop it.
+        return PathEngineContext(
+            psi=frozenset({0, 1}),
+            dead=frozenset(),
+            state_level=[0, 0],
+            reward_levels=[0.0],
+            impulse_levels=[0.0],
+            time_bound=1.0,
+            reward_bound=1.0,
+            rate=1.0,
+            lam_t=1.0,
+            w=1e-30,
+            depth_limit=None,
+            strategy="merged",
+            truncation="paper",
+            pmf=self.PMF,
+            heads=self.HEADS,
+            maxpois=None,
+            num_states=2,
+            calculators=OmegaRegistry.for_reward_levels([0.0]),
+            succ_indptr=np.array([0, 1, 2]),
+            succ_targets=np.array([1, 0]),
+            succ_probs=np.array([1.0, 1.0]),
+            succ_moves=np.array([0, 0]),
+            psi_mask=np.array([True, True]),
+            class_table=ClassTable(1, 1),
+        )
+
     def test_mass_beyond_poisson_table_is_truncated(self):
         """Regression: frontiers past the pmf table must be truncated
         (weight 0.0, like the DFS), not kept alive with the stale last
         table entry — that leaked their mass out of the error bound."""
-        from repro.check.paths_engine import _run_merged_dp
-
-        successors = [[(1, 1.0, 0)], [(0, 1.0, 0)]]
-        pmf = np.array([0.5, 0.3, 0.1])
-        heads = np.array([0.0, 0.5, 0.8, 0.9])
-        aggregated, error_bound, generated, stored, max_depth = _run_merged_dp(
-            initial_state=0,
-            psi=frozenset({0, 1}),
-            dead=frozenset(),
-            successors=successors,
-            state_level=[0, 0],
-            num_levels=1,
-            num_impulses=1,
-            w=1e-30,
-            depth_limit=None,
-            pmf=pmf,
-            heads=heads,
-            maxpois=None,
+        context = self.ping_pong_context()
+        k_rows, j_rows, masses, error_bound, generated, stored, max_depth = (
+            _run_paths_sweep(0, context)
         )
-        # The ping-pong chain never dies on its own; only the
-        # out-of-table truncation can stop it.
         assert max_depth == 2
         assert generated == 3
         assert stored == 3
+        assert k_rows.tolist() == [[1], [2], [3]]
+        assert j_rows.tolist() == [[0], [1], [2]]
+        assert masses.tolist() == [0.5, 0.3, 0.1]
+        assert error_bound == pytest.approx(1.0 - 0.9)
+        # The dict-DP oracle follows the same convention.
+        aggregated, oracle_bound, *counts = run_merged_dp(
+            initial_state=0,
+            psi=context.psi,
+            dead=context.dead,
+            successors=successor_lists(context),
+            state_level=context.state_level,
+            num_levels=1,
+            num_impulses=1,
+            w=context.w,
+            depth_limit=None,
+            pmf=self.PMF,
+            heads=self.HEADS,
+            maxpois=None,
+        )
+        assert counts == [3, 3, 2]
         assert aggregated == {
             ((1,), (0,)): 0.5,
             ((2,), (1,)): 0.3,
             ((3,), (2,)): 0.1,
         }
-        assert error_bound == pytest.approx(1.0 - 0.9)
+        assert oracle_bound == error_bound
 
 
 class TestColumnarEngine:
@@ -389,17 +432,45 @@ class TestColumnarEngine:
             impulse_rewards={(0, 1): 1.0, (2, 0): 0.5},
         )
 
+    def test_csr_matches_per_edge_reference(self):
+        # The CSR arrays are read straight off the uniformized matrix;
+        # compare with a per-edge walk over the model's own accessors.
+        model = self.small_model()
+        dead = {1}
+        context = prepare_path_engine(
+            model, {2}, 2.0, 3.0, dead_states=dead, strategy="merged"
+        )
+        process = model.uniformize()
+        matrix = process.dtmc.matrix
+        impulse_index = {v: i for i, v in enumerate(model.distinct_impulse_rewards())}
+        expected = []
+        for state in range(model.num_states):
+            row = []
+            for pos in range(matrix.indptr[state], matrix.indptr[state + 1]):
+                target = int(matrix.indices[pos])
+                probability = float(matrix.data[pos])
+                if probability > 0.0 and target not in dead:
+                    impulse = process.impulse_reward(state, target)
+                    row.append((target, probability, impulse_index[impulse]))
+            expected.append(row)
+        assert successor_lists(context) == expected
+        levels = context.state_level
+        num_impulses = len(context.impulse_levels)
+        for pos, target in enumerate(context.succ_targets.tolist()):
+            assert context.succ_moves[pos] // num_impulses == levels[target]
+
     def test_columnar_matches_legacy_dict(self):
         model = self.small_model()
-        kwargs = dict(
-            initial_state=0,
+        context = prepare_path_engine(
+            model,
             psi_states={2},
             time_bound=2.0,
             reward_bound=3.0,
             truncation_probability=1e-9,
+            strategy="merged",
         )
-        legacy = joint_distribution(model, strategy="merged-legacy", **kwargs)
-        columnar = joint_distribution(model, strategy="merged", **kwargs)
+        columnar = joint_distribution_from_context(context, 0)
+        legacy = merged_dp_result(context, 0)
         assert columnar.probability == pytest.approx(
             legacy.probability, abs=1e-12
         )
@@ -414,7 +485,7 @@ class TestColumnarEngine:
     def test_interned_fallback_matches_packed(self, monkeypatch):
         """When the (k, j) fields do not fit two packed words the sweep
         falls back to ClassTable interning; force that path and check it
-        agrees with both the packed sweep and the legacy engine."""
+        agrees with both the packed sweep and the dict-DP oracle."""
         from repro.check import paths_engine
 
         model = self.small_model()
@@ -428,7 +499,9 @@ class TestColumnarEngine:
         packed = joint_distribution(model, strategy="merged", **kwargs)
         monkeypatch.setattr(paths_engine, "_class_packing", lambda context: None)
         interned = joint_distribution(model, strategy="merged", **kwargs)
-        legacy = joint_distribution(model, strategy="merged-legacy", **kwargs)
+        initial = kwargs.pop("initial_state")
+        context = prepare_path_engine(model, strategy="merged", **kwargs)
+        legacy = merged_dp_result(context, initial)
         assert interned.probability == pytest.approx(
             packed.probability, abs=1e-12
         )

@@ -1,8 +1,9 @@
-"""The columnar ``"paths"`` sweep against the per-path DFS oracle.
+"""The columnar sweep against its dict-and-tuple oracles.
 
 Strategy ``"paths"`` must generate exactly Algorithm 4.7's path set with
-its per-path truncation test; only the traversal (and so the summation)
-order may differ from the DFS in :mod:`tests.paths_oracle`.
+its per-path truncation test, and strategy ``"merged"`` exactly the
+frontiers of the breadth-first merged DP; only the traversal (and so the
+summation) order may differ from the oracles in :mod:`tests.paths_oracle`.
 """
 
 import numpy as np
@@ -17,13 +18,13 @@ from repro.check.paths_engine import (
 )
 from repro.ctmc.chain import CTMC
 from repro.mrm.model import MRM
-from tests.paths_oracle import dfs_result
+from tests.paths_oracle import dfs_result, merged_dp_result
 
 
-def assert_matches_oracle(context, states):
+def assert_matches_oracle(context, states, oracle_result=dfs_result):
     for state in states:
         sweep = joint_distribution_from_context(context, state)
-        oracle = dfs_result(context, state)
+        oracle = oracle_result(context, state)
         assert sweep.paths_generated == oracle.paths_generated
         assert sweep.paths_stored == oracle.paths_stored
         assert sweep.max_depth == oracle.max_depth
@@ -65,6 +66,49 @@ def absorbing_query(draw):
     return model.make_absorbing(psi | dead), query
 
 
+def wide_model():
+    """Seven distinct state rewards and a distinct impulse per edge: far
+    more count fields than two packed words hold, so the sweep keys its
+    rows by ClassTable id instead."""
+    n = 7
+    rates = np.zeros((n, n))
+    impulses = {}
+    for i in range(n):
+        for j in ((i + 1) % n, (i + 2) % n, (i + 4) % n):
+            rates[i][j] = 0.5 + 0.25 * ((i + j) % 3)
+            impulses[(i, j)] = 1.0 + len(impulses)
+    return MRM(
+        CTMC(rates),
+        state_rewards=[float(i) for i in range(n)],
+        impulse_rewards=impulses,
+    )
+
+
+WIDE_QUERY = dict(
+    psi_states={6, 3},
+    time_bound=1.0,
+    reward_bound=12.0,
+    truncation_probability=1e-6,
+)
+
+
+def tmr3_query(tmr3, strategy):
+    sup = tmr3.states_with_label("Sup")
+    failed = tmr3.states_with_label("failed")
+    dead = set(range(tmr3.num_states)) - sup - failed
+    context = prepare_path_engine(
+        tmr3.make_absorbing(dead | failed),
+        failed,
+        time_bound=100.0,
+        reward_bound=3000.0,
+        truncation_probability=1e-11,
+        dead_states=dead,
+        truncation="paper",
+        strategy=strategy,
+    )
+    return context, sorted(sup)
+
+
 class TestSweepMatchesDfs:
     @given(case=absorbing_query())
     @settings(max_examples=60, deadline=None)
@@ -75,46 +119,66 @@ class TestSweepMatchesDfs:
 
     @pytest.mark.parametrize("truncation", ["paper", "safe"])
     def test_model_too_wide_to_pack(self, truncation):
-        # Seven distinct state rewards and a distinct impulse per edge:
-        # far more count fields than two packed words hold, so the sweep
-        # keys its rows by ClassTable id instead.
-        n = 7
-        rates = np.zeros((n, n))
-        impulses = {}
-        for i in range(n):
-            for j in ((i + 1) % n, (i + 2) % n, (i + 4) % n):
-                rates[i][j] = 0.5 + 0.25 * ((i + j) % 3)
-                impulses[(i, j)] = 1.0 + len(impulses)
-        model = MRM(
-            CTMC(rates),
-            state_rewards=[float(i) for i in range(n)],
-            impulse_rewards=impulses,
-        )
-        context = prepare_path_engine(
-            model,
-            psi_states={n - 1, 3},
-            time_bound=1.0,
-            reward_bound=12.0,
-            truncation_probability=1e-6,
-            truncation=truncation,
-        )
+        model = wide_model()
+        context = prepare_path_engine(model, truncation=truncation, **WIDE_QUERY)
         assert _class_packing(context) is None
-        assert_matches_oracle(context, range(n))
+        assert_matches_oracle(context, range(model.num_states))
 
     def test_blocks_split_deep_frontiers(self, monkeypatch, tmr3):
         # Tiny blocks force the deepest-first block stack through many
         # splits; the path set and counts must not depend on block size.
-        sup = tmr3.states_with_label("Sup")
-        failed = tmr3.states_with_label("failed")
-        dead = set(range(tmr3.num_states)) - sup - failed
-        context = prepare_path_engine(
-            tmr3.make_absorbing(dead | failed),
-            failed,
-            time_bound=100.0,
-            reward_bound=3000.0,
-            truncation_probability=1e-11,
-            dead_states=dead,
-            truncation="paper",
-        )
+        context, states = tmr3_query(tmr3, "paths")
         monkeypatch.setattr(paths_engine, "PATHS_BLOCK_ROWS", 7)
-        assert_matches_oracle(context, sorted(sup))
+        assert_matches_oracle(context, states)
+
+
+class TestMergedSweepMatchesDp:
+    @given(case=absorbing_query())
+    @settings(max_examples=60, deadline=None)
+    def test_random_absorbing_models(self, case):
+        model, query = case
+        context = prepare_path_engine(model, strategy="merged", **query)
+        assert_matches_oracle(context, range(model.num_states), merged_dp_result)
+
+    @pytest.mark.parametrize("depth_limit", [None, 3])
+    @pytest.mark.parametrize("truncation", ["paper", "safe"])
+    def test_model_too_wide_to_pack(self, truncation, depth_limit):
+        model = wide_model()
+        context = prepare_path_engine(
+            model,
+            strategy="merged",
+            truncation=truncation,
+            depth_limit=depth_limit,
+            **WIDE_QUERY,
+        )
+        # A depth limit shortens the Poisson table, and with it the
+        # count fields, far enough for the packed keys.
+        assert (_class_packing(context) is None) == (depth_limit is None)
+        assert_matches_oracle(context, range(model.num_states), merged_dp_result)
+
+    def test_tmr3_paper_truncation(self, tmr3):
+        context, states = tmr3_query(tmr3, "merged")
+        assert_matches_oracle(context, states, merged_dp_result)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_never_splits_a_depth(self, monkeypatch, tmr3, wide):
+        # The merge sums a whole depth before its truncation test, so the
+        # block size must not reach it: one-row blocks change nothing.
+        if wide:
+            model = wide_model()
+            context = prepare_path_engine(model, strategy="merged", **WIDE_QUERY)
+            states = range(model.num_states)
+        else:
+            context, states = tmr3_query(tmr3, "merged")
+        expected = [
+            paths_engine._run_paths_sweep(state, context) for state in states
+        ]
+        monkeypatch.setattr(paths_engine, "PATHS_BLOCK_ROWS", 1)
+        for state, before in zip(states, expected):
+            after = paths_engine._run_paths_sweep(state, context)
+            for old, new in zip(before, after):
+                if isinstance(old, np.ndarray):
+                    assert old.dtype == new.dtype
+                    assert old.tobytes() == new.tobytes()
+                else:
+                    assert old == new

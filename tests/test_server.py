@@ -180,6 +180,23 @@ class TestProtocolBasics:
         assert excinfo.value.code == "invalid-request"
         assert "warp" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"path_strategy": "merged-legacy"}, {"kernels": "numpy"}],
+        ids=["merged-legacy", "kernels"],
+    )
+    def test_removed_option_values_rejected(self, server_factory, options):
+        _, sock = server_factory()
+        with ServerClient(socket_path=sock) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.check({"source": TMR_SOURCE}, FORMULA, options=options)
+            assert excinfo.value.code == "invalid-request"
+            # The daemon keeps serving on the same connection.
+            body = client.check(
+                {"source": TMR_SOURCE}, FORMULA, options={"path_strategy": "merged"}
+            )
+        assert body["trust"] == "exact"
+
     def test_path_confined_to_model_root(self, server_factory):
         _, sock = server_factory()
         with ServerClient(socket_path=sock) as client:

@@ -318,7 +318,7 @@ class TestCheckerTrace:
         (conj,) = spans_named(trace, "sat.and")
         assert all(a["parent_id"] == conj["span_id"] for a in atoms)
 
-    @pytest.mark.parametrize("strategy", ["paths", "merged", "merged-legacy"])
+    @pytest.mark.parametrize("strategy", ["paths", "merged"])
     def test_frontier_and_omega_spans_per_state(self, tmr3, strategy):
         checker = ModelChecker(
             tmr3, CheckOptions(path_strategy=strategy), engine_cache=EngineCache()
