@@ -1120,14 +1120,15 @@ def _group_rows(
 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     """Sum ``mass`` per distinct key tuple (one lexsort plus ``reduceat``)."""
     order = np.lexsort(keys)
-    sorted_keys = tuple(column[order] for column in keys)
-    boundaries = np.zeros(mass.size, dtype=bool)
+    first, *rest = sorted_keys = [column[order] for column in keys]
+    boundaries = np.empty(mass.size, dtype=bool)
     boundaries[0] = True
-    for column in sorted_keys:
+    np.not_equal(first[1:], first[:-1], out=boundaries[1:])
+    for column in rest:
         boundaries[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(boundaries)
+    (starts,) = boundaries.nonzero()
     return (
-        tuple(column[starts] for column in sorted_keys),
+        tuple([column[starts] for column in sorted_keys]),
         np.add.reduceat(mass[order], starts),
     )
 
@@ -1213,7 +1214,10 @@ def _run_paths_sweep(
     guard = get_guard()
     phase = "until.columnar" if merge else "until.paths"
     obs = get_collector()
-    frontier_series = obs.series("until.frontier") if obs.enabled else None
+    # ``"merged"`` records one point per depth (frontier size, then the
+    # bound after that depth's truncation test); ``"paths"`` records the
+    # bound per popped block against the rows generated so far.
+    frontier_series = obs.series("until.frontier") if merge and obs.enabled else None
     mass_series = obs.series("until.truncation-mass") if obs.enabled else None
     while stack:
         if guard.enabled:
@@ -1221,7 +1225,7 @@ def _run_paths_sweep(
                 phase,
                 mem_bytes=stack_rows * row_bytes + buffered_rows * stored_row_bytes,
             )
-        if mass_series is not None:
+        if mass_series is not None and not merge:
             mass_series.append(float(generated), float(error_bound))
         depth, states, keys, mass = stack.pop()
         if frontier_series is not None:
@@ -1235,7 +1239,7 @@ def _run_paths_sweep(
         if count:
             stored += count
             poisson_here = float(pmf[depth]) if depth < pmf_count else 0.0
-            block_keys = tuple(column[storing] for column in keys)
+            block_keys = [column[storing] for column in keys]
             block_mass = mass[storing] * poisson_here
             if not merge:
                 # Many paths share a class: reducing each block keeps the
@@ -1261,8 +1265,8 @@ def _run_paths_sweep(
                 + total * 8 * (5 + len(keys)),
             )
         next_depth = depth + 1
-        parent = np.repeat(np.arange(states.size), degrees)
-        edges = np.repeat(indptr[states] - (np.cumsum(degrees) - degrees), degrees)
+        parent = np.arange(states.size).repeat(degrees)
+        edges = (indptr[states] - (degrees.cumsum() - degrees)).repeat(degrees)
         edges += np.arange(total)
         child_mass = mass[parent] * succ_probs[edges]
         if merge:
@@ -1287,29 +1291,31 @@ def _run_paths_sweep(
         if not keep.all():
             tail = 1.0 - float(heads[next_depth]) if next_depth < head_count else 1.0
             error_bound += float(child_mass[~keep].sum()) * tail
-            rows = tuple(column[keep] for column in rows)
+            rows = [column[keep] for column in rows]
             child_mass = child_mass[keep]
+        if merge and mass_series is not None:
+            mass_series.append(float(next_depth), float(error_bound))
         size = int(child_mass.size)
         if size == 0:
             continue
-        if not merge:
-            parent, edges = rows
-            rows = (
-                succ_targets[edges],
-                *classes.children(keys, parent, succ_moves[edges]),
-            )
-        blocks = 1 if merge else -(-size // PATHS_BLOCK_ROWS)
+        stack_rows += size
+        if merge:
+            stack.append((next_depth, rows[0], rows[1:], child_mass))
+            continue
+        parent, edges = rows
+        child_states = succ_targets[edges]
+        child_keys = classes.children(keys, parent, succ_moves[edges])
+        blocks = -(-size // PATHS_BLOCK_ROWS)
         bounds = [size * b // blocks for b in range(blocks + 1)]
         for start, end in zip(bounds[:-1], bounds[1:]):
             stack.append(
                 (
                     next_depth,
-                    rows[0][start:end],
-                    tuple(column[start:end] for column in rows[1:]),
+                    child_states[start:end],
+                    tuple([column[start:end] for column in child_keys]),
                     child_mass[start:end],
                 )
             )
-        stack_rows += size
 
     if not stored_mass:
         return empty_k, empty_j, no_mass, error_bound, generated, stored, max_depth

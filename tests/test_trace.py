@@ -366,6 +366,16 @@ class TestCheckerTrace:
         # Frontier sizes are positive state counts.
         assert all(v >= 1.0 for _, v in frontier["points"])
 
+    def test_paths_sweep_records_no_frontier_series(self, tmr3):
+        checker = ModelChecker(
+            tmr3,
+            CheckOptions(path_strategy="paths"),
+            engine_cache=EngineCache(),
+        )
+        report = checker.check("P(>=0.1) [Sup U[0,1][0,100] failed]").report
+        assert "until.frontier" not in report.series
+        assert report.series["until.truncation-mass"]["points"]
+
     def test_workers_produce_one_merged_trace(self, monkeypatch):
         # 11 modules: enough pending Sup-states for four genuine shards.
         # The clamp would serialize workers=4 on a small CI box, and the
